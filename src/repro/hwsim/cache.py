@@ -21,8 +21,10 @@ Units: capacities and accesses are counted in *units* (equally sized weight
 columns/rows of one group), not bytes — the byte conversion happens in
 :mod:`repro.hwsim.memory`; time advances in whole tokens.  What the model
 abstracts away: associativity, cache lines, and replacement latency — only
-hit/miss per unit per token matters.  Reproduces the eviction-policy
-comparison of paper Section 5.1 / Figure 11.
+hit/miss per unit per token matters.  Eviction runs in linear time per
+token (a partition, not a sort) on integer scores and breaks ties by
+(score, unit index): among equally scored units the lower index goes first.
+Reproduces the eviction-policy comparison of paper Section 5.1 / Figure 11.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
+
+from repro.sparsity.base import lowest_k
 
 
 class GroupCache:
@@ -58,7 +62,7 @@ class GroupCache:
         if active.shape != (self.n_units,):
             raise ValueError(f"active vector must have shape ({self.n_units},)")
         hits = int(np.count_nonzero(active & self.cached))
-        misses = int(np.count_nonzero(active & ~self.cached))
+        misses = int(np.count_nonzero(active)) - hits
         self._update(active)
         self.token_index += 1
         return hits, misses
@@ -94,7 +98,7 @@ class _EvictingCache(GroupCache):
     """Shared insert-then-evict logic parameterised by an eviction score."""
 
     def _scores(self) -> np.ndarray:
-        """Lower score = evicted first.  Subclasses override."""
+        """Integer scores; lower = evicted first.  Subclasses override."""
         raise NotImplementedError
 
     def _record_access(self, active: np.ndarray) -> None:
@@ -105,24 +109,19 @@ class _EvictingCache(GroupCache):
         self._record_access(active)
         if self.capacity_units == 0:
             return
-        self.cached |= active
-        overflow = int(self.cached.sum()) - self.capacity_units
+        cached = self.cached
+        cached |= active
+        overflow = int(np.count_nonzero(cached)) - self.capacity_units
         if overflow <= 0:
             return
-        scores = self._scores()
         # Prefer evicting units that were not accessed this token; fall back
         # to the currently accessed ones only if they alone exceed capacity.
-        candidates = np.flatnonzero(self.cached & ~active)
+        candidates = np.flatnonzero(cached & ~active)
         if candidates.size < overflow:
-            extra_needed = overflow - candidates.size
-            active_cached = np.flatnonzero(self.cached & active)
-            order = np.argsort(scores[active_cached], kind="stable")
-            extra = active_cached[order[:extra_needed]]
-            to_evict = np.concatenate([candidates, extra])
-        else:
-            order = np.argsort(scores[candidates], kind="stable")
-            to_evict = candidates[order[:overflow]]
-        self.cached[to_evict] = False
+            cached &= active
+            overflow -= candidates.size
+            candidates = np.flatnonzero(cached)
+        cached[lowest_k(self._scores(), candidates, overflow)] = False
 
 
 class LRUCache(_EvictingCache):
@@ -138,7 +137,7 @@ class LRUCache(_EvictingCache):
         self.last_used[active] = self.token_index
 
     def _scores(self) -> np.ndarray:
-        return self.last_used.astype(np.float64)
+        return self.last_used
 
     def reset(self) -> None:
         super().reset()
@@ -155,10 +154,10 @@ class LFUCache(_EvictingCache):
         self.frequency = np.zeros(self.n_units, dtype=np.int64)
 
     def _record_access(self, active: np.ndarray) -> None:
-        self.frequency[active] += 1
+        self.frequency += active
 
     def _scores(self) -> np.ndarray:
-        return self.frequency.astype(np.float64)
+        return self.frequency
 
     def reset(self) -> None:
         super().reset()
@@ -203,7 +202,7 @@ class BeladyCache(_EvictingCache):
             raise RuntimeError("BeladyCache.set_future must be called before simulation")
         t = min(self.token_index, self._next_use.shape[0] - 1)
         # Farther next use = evicted first, so the score is the negated next-use time.
-        return -self._next_use[t].astype(np.float64)
+        return -self._next_use[t]
 
     def reset(self) -> None:
         super().reset()

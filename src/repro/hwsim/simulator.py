@@ -130,7 +130,7 @@ class HWSimulator:
         keep = group.keep_fraction if group.keep_fraction is not None else 1.0
         token_scores = scores[token_index]
         if gamma < 1.0 and cached_mask is not None:
-            token_scores = cache_aware_scores(token_scores, cached_mask.astype(np.float64), gamma)
+            token_scores = cache_aware_scores(token_scores, cached_mask, gamma)
         return topk_fraction_mask(token_scores, keep)
 
     # ----------------------------------------------------------------- public
@@ -201,8 +201,6 @@ def simulate_dense_baseline(
     cache_policy: str = "lfu",
 ) -> SimulationResult:
     """Throughput of streaming the dense model (every MLP unit every token)."""
-    from repro.hwsim.trace import AccessTrace, GroupTrace  # local import to avoid cycle confusion
-
     groups = [GroupTrace(group=g, n_tokens=n_tokens) for g in layout.groups]
     trace = AccessTrace(n_tokens=n_tokens, groups=groups)
     simulator = HWSimulator(layout, device)

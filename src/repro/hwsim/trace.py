@@ -136,9 +136,12 @@ def _synthesize_group_scores(
     latent = np.empty((n_tokens, n_units))
     latent[0] = rng.normal(0.0, config.latent_sigma, size=n_units)
     for t in range(1, n_tokens):
-        latent[t] = rho * latent[t - 1] + rng.normal(0.0, innovation_scale, size=n_units)
-    noise = rng.normal(0.0, config.noise_sigma, size=(n_tokens, n_units))
-    return np.exp(base[None, :] + latent + noise)
+        np.multiply(latent[t - 1], rho, out=latent[t])
+        latent[t] += rng.normal(0.0, innovation_scale, size=n_units)
+    # exp(base + latent + noise) in place; keep that summation order, traces are pinned bit for bit.
+    latent += base
+    latent += rng.normal(0.0, config.noise_sigma, size=(n_tokens, n_units))
+    return np.exp(latent, out=latent)
 
 
 def synthesize_trace(

@@ -79,7 +79,12 @@ async def _read_request(
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HTTPError(400, "invalid Content-Length")
     if length > _MAX_BODY_BYTES:
         raise _HTTPError(413, "body too large")
     body = await reader.readexactly(length) if length else b""

@@ -19,7 +19,7 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     ``k`` is clamped to ``[0, n]``.
     """
     n = values.shape[-1]
-    k = int(np.clip(k, 0, n))
+    k = min(max(int(k), 0), n)
     mask = np.zeros(values.shape, dtype=bool)
     if k == 0:
         return mask
@@ -27,8 +27,27 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
         return np.ones(values.shape, dtype=bool)
     # argpartition selects the k largest per row without a full sort.
     idx = np.argpartition(values, n - k, axis=-1)[..., n - k :]
-    np.put_along_axis(mask, idx, True, axis=-1)
+    if values.ndim == 1:
+        mask[idx] = True
+    else:
+        np.put_along_axis(mask, idx, True, axis=-1)
     return mask
+
+
+def lowest_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` entries of ``candidates`` (unit indices) with the lowest scores, in linear time.
+
+    Ties break by unit index, so the result is the same set as the first ``k``
+    of a stable argsort of ``scores[candidates]`` over ascending candidates.
+    ``scores`` must be integer-valued.
+    """
+    if k >= candidates.size:
+        return candidates
+    key = scores[candidates]
+    key -= key.min()
+    key *= scores.size
+    key += candidates
+    return candidates[np.argpartition(key, k - 1)[:k]]
 
 
 def topk_fraction_mask(values: np.ndarray, fraction: float) -> np.ndarray:

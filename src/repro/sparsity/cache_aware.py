@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.nn.mlp import SwiGLUMLP
-from repro.sparsity.base import MLPMasks, topk_fraction_mask
+from repro.sparsity.base import MLPMasks, lowest_k, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
 
@@ -32,18 +32,20 @@ from repro.sparsity.dip import DynamicInputPruning
 def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the Eq. 10 re-weighting to activation magnitudes.
 
-    ``magnitudes`` has shape ``(..., n)``; ``cached_mask`` is broadcastable to
-    it and holds 1 for cached columns.  The infinity-norm normalisation makes
-    the scores insensitive to the token-to-token dynamic range.
+    ``magnitudes`` has shape ``(..., n)``; ``cached_mask`` is a binary mask
+    (bool or 0/1) broadcastable to it, true for cached columns.  The
+    infinity-norm normalisation makes the scores insensitive to the
+    token-to-token dynamic range.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    magnitudes = np.abs(np.asarray(magnitudes, dtype=np.float64))
-    cached = np.asarray(cached_mask, dtype=np.float64)
-    norm = magnitudes.max(axis=-1, keepdims=True)
-    norm = np.where(norm > 0, norm, 1.0)
-    weights = cached + gamma * (1.0 - cached)
-    return magnitudes * weights / norm
+    scores = np.abs(np.asarray(magnitudes, dtype=np.float64))
+    norm = scores.max(axis=-1, keepdims=True)
+    # For binary c, c + gamma * (1 - c) is exactly max(c, gamma).  In place,
+    # as one-token calls are bound by allocating their temporaries.
+    scores *= np.maximum(cached_mask, gamma)
+    scores /= np.where(norm > 0, norm, 1.0)
+    return scores
 
 
 class LayerCacheState:
@@ -75,26 +77,21 @@ class LayerCacheState:
         if active.shape != (self.n_units,):
             raise ValueError(f"active mask must have shape ({self.n_units},)")
         hits = int(np.count_nonzero(active & self.cached))
-        misses = int(np.count_nonzero(active & ~self.cached))
-        self.frequency[active] += 1
+        misses = int(np.count_nonzero(active)) - hits
+        self.frequency += active
         if self.capacity == 0:
             return hits, misses
         # Insert the active units, then evict the least frequently used
         # non-active units while over capacity.
         self.cached |= active
-        overflow = int(self.cached.sum()) - self.capacity
+        overflow = int(np.count_nonzero(self.cached)) - self.capacity
         if overflow > 0:
             evictable = np.flatnonzero(self.cached & ~active)
             if evictable.size < overflow:
                 # Even the active set alone exceeds capacity: keep the most
                 # frequent active units only.
-                active_idx = np.flatnonzero(self.cached)
-                order = np.argsort(self.frequency[active_idx], kind="stable")
-                to_evict = active_idx[order[: int(self.cached.sum()) - self.capacity]]
-            else:
-                order = np.argsort(self.frequency[evictable], kind="stable")
-                to_evict = evictable[order[:overflow]]
-            self.cached[to_evict] = False
+                evictable = np.flatnonzero(self.cached)
+            self.cached[lowest_k(self.frequency, evictable, overflow)] = False
         return hits, misses
 
     def reset(self) -> None:

@@ -9,6 +9,8 @@ model) so the suite stays fast.
 from __future__ import annotations
 
 import faulthandler
+import json
+import socket
 from pathlib import Path
 
 import numpy as np
@@ -135,3 +137,24 @@ def timing():
     only need them inline.
     """
     return timing_utils
+
+
+def _raw_http(host: str, port: int, request: bytes):
+    """Send ``request`` verbatim, read to EOF; return (status, JSON body)."""
+    with socket.create_connection((host, port), timeout=scaled(30)) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+@pytest.fixture(scope="session")
+def raw_http():
+    """``raw_http(host, port, request_bytes) -> (status, body)`` over a plain socket.
+
+    For requests no HTTP client library would send, such as a malformed
+    ``Content-Length``.
+    """
+    return _raw_http

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.hwsim.cache import BeladyCache, LFUCache, LRUCache, NoCache, build_cache
 
@@ -138,3 +141,54 @@ class TestCachedMask:
         cache.process_token(one_hot(4, [1, 3]))
         mask = cache.cached_mask()
         assert mask[1] and mask[3] and not mask[0]
+
+
+def reference_eviction(policy, capacity, activity):
+    """Per-token ``(hits, misses)`` and residency of the stable-argsort eviction."""
+    n_tokens, n_units = activity.shape
+    capacity = min(max(capacity, 0), n_units)
+    cached, last_used, frequency = np.zeros(n_units, bool), np.full(n_units, -1), np.zeros(n_units, int)
+    next_use = np.array([[next((s for s in range(t + 1, n_tokens) if activity[s, u]), n_tokens + 1)
+                          for u in range(n_units)] for t in range(n_tokens)])
+    steps = []
+    for t, active in enumerate(activity):
+        hits, misses = int(np.sum(active & cached)), int(np.sum(active & ~cached))
+        last_used[active], frequency[active] = t, frequency[active] + 1
+        overflow = int(np.sum(cached | active)) - capacity
+        if capacity:
+            cached |= active
+        if capacity and overflow > 0:
+            scores = {"lru": last_used, "lfu": frequency, "belady": -next_use[t]}[policy]
+            candidates, active_cached = np.flatnonzero(cached & ~active), np.flatnonzero(cached & active)
+            if candidates.size < overflow:
+                order = np.argsort(scores[active_cached], kind="stable")
+                candidates = np.concatenate([candidates, active_cached[order[: overflow - candidates.size]]])
+            cached[candidates[np.argsort(scores[candidates], kind="stable")[:overflow]]] = False
+        steps.append((hits, misses, cached.copy()))
+    return steps
+
+
+@st.composite
+def eviction_cases(draw):
+    n_units = draw(st.integers(1, 12))
+    n_tokens = draw(st.integers(1, 10))
+    capacity = draw(st.integers(0, n_units + 2))
+    activity = draw(hnp.arrays(bool, (n_tokens, n_units)))
+    return capacity, activity
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "belady"])
+@settings(max_examples=150, deadline=None)
+@given(case=eviction_cases())
+@example(case=(0, np.ones((3, 4), bool)))  # capacity 0
+@example(case=(6, np.eye(5, 4, dtype=bool) | np.eye(5, 4, k=1, dtype=bool)))  # capacity >= n_units
+@example(case=(2, np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1], [1, 0, 1, 1, 0]], bool)))  # capacity < active
+def test_eviction_matches_stable_argsort_reference(policy, case):
+    """Linear-time eviction picks the same victims as the stable argsort on (score, index)."""
+    capacity, activity = case
+    cache = build_cache(policy, activity.shape[1], capacity)
+    if policy == "belady":
+        cache.set_future(activity)
+    for active, (hits, misses, cached) in zip(activity, reference_eviction(policy, capacity, activity)):
+        assert cache.process_token(active) == (hits, misses)
+        np.testing.assert_array_equal(cache.cached_mask(), cached)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.engine.inference import SparseInferenceEngine
-from repro.hwsim.device import DeviceSpec
+from repro.hwsim.device import DeviceSpec, get_device
 from repro.hwsim.memory import build_layout
 from repro.hwsim.simulator import HWSimulator, SimulationConfig, simulate_dense_baseline
 from repro.hwsim.trace import AccessTrace, GroupTrace, SyntheticTraceConfig, synthesize_trace, trace_from_masks
+from repro.nn.model_zoo import get_model_spec
 from repro.sparsity.dip import DynamicInputPruning
 from repro.utils.units import GB, KB, MB
 
@@ -185,3 +186,81 @@ class TestSimulator:
         small = simulate_dense_baseline(layout, small_device, n_tokens=6)
         large = simulate_dense_baseline(layout, small_device.with_dram(16 * MB), n_tokens=6)
         assert large.tokens_per_second >= small.tokens_per_second
+
+
+#: ``(summary(), cache_hits, cache_misses)`` per (policy, gamma), recorded with
+#: the stable-argsort eviction and the unfused Eq. 10 re-weighting that the
+#: linear-time code replaced.  Any drift in simulated statistics breaks these.
+SIMULATOR_PINS = {
+    ("none", 1.0): (
+        {
+            "tokens_per_second": 7.571481136602618,
+            "mean_latency_s": 0.13207455476125082,
+            "cache_hit_rate": 0.0,
+            "mean_dram_bytes": 250688000.0,
+            "mean_flash_bytes": 137635840.0,
+        },
+        0,
+        215072,
+    ),
+    ("lru", 1.0): (
+        {
+            "tokens_per_second": 16.728401594790757,
+            "mean_latency_s": 0.05977857444021437,
+            "cache_hit_rate": 0.5035615979764916,
+            "mean_dram_bytes": 329630933.3333333,
+            "mean_flash_bytes": 58692906.666666664,
+        },
+        108302,
+        106770,
+    ),
+    ("lfu", 1.0): (
+        {
+            "tokens_per_second": 16.949202381431448,
+            "mean_latency_s": 0.058999826510747276,
+            "cache_hit_rate": 0.5083181446213361,
+            "mean_dram_bytes": 330481280.0,
+            "mean_flash_bytes": 57842560.0,
+        },
+        109325,
+        105747,
+    ),
+    ("belady", 1.0): (
+        {
+            "tokens_per_second": 18.20989134119617,
+            "mean_latency_s": 0.05491520961125692,
+            "cache_hit_rate": 0.5412187546496057,
+            "mean_dram_bytes": 334941440.0,
+            "mean_flash_bytes": 53382400.0,
+        },
+        116401,
+        98671,
+    ),
+    ("lfu", 0.2): (
+        {
+            "tokens_per_second": 30.59293091206153,
+            "mean_latency_s": 0.03268728984726799,
+            "cache_hit_rate": 0.6968968531468531,
+            "mean_dram_bytes": 359213013.3333333,
+            "mean_flash_bytes": 29110826.666666668,
+        },
+        149883,
+        65189,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy,gamma", sorted(SIMULATOR_PINS))
+def test_paper_geometry_simulation_is_pinned(policy, gamma):
+    """Two Phi-3-Medium layers at DIP 0.5, half the MLP bytes cacheable, 8 tokens.
+
+    Up/gate capacity (2560 units) sits below the active count (2688), so the
+    evict-active branch runs; down capacity (8960) sits above it (8066).
+    """
+    model_config = get_model_spec("phi3-medium").paper_config.replace(n_layers=2)
+    layout = build_layout(model_config, DynamicInputPruning(0.5), kv_cache_seq_len=2048)
+    device = get_device("apple-a18").with_dram(layout.static_bytes() + 0.5 * layout.mlp_bytes())
+    trace = synthesize_trace(layout, SyntheticTraceConfig(n_tokens=8, seed=5))
+    config = SimulationConfig(cache_policy=policy, gamma=gamma, warmup_tokens=2)
+    result = HWSimulator(layout, device).simulate(trace, config)
+    assert (result.summary(), result.cache_hits, result.cache_misses) == SIMULATOR_PINS[(policy, gamma)]

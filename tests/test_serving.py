@@ -593,6 +593,13 @@ class TestServingServer:
         assert conn.getresponse().status == 405
         conn.close()
 
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_invalid_content_length_is_a_400(self, server, raw_http, length):
+        request = b"POST /generate HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n"
+        assert raw_http(server.host, server.port, request) == (400, {"error": "invalid Content-Length"})
+        status, body = self._post(server, "/generate", {"prompt": [1, 2], "max_new_tokens": 2, "stream": False})
+        assert status == 200 and len(json.loads(body)["tokens"]) == 2
+
     def test_streaming_rejection_is_a_clean_400(self, server):
         """An invalid streamed request must get a 400, not a corrupt chunked body."""
         payload = {"prompt": list(range(1, 60)), "max_new_tokens": 60, "stream": True}

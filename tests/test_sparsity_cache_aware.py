@@ -1,8 +1,11 @@
 """Tests for cache-aware masking (Eq. 10, Algorithm 1) and the LFU cache model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.sparsity.cache_aware import CacheAwareDIP, LayerCacheState, cache_aware_scores
 from repro.sparsity.dip import DynamicInputPruning
 
@@ -159,3 +162,26 @@ class TestCacheAwareDIP:
     def test_describe_includes_gamma(self):
         info = CacheAwareDIP(gamma=0.3).describe()
         assert info["gamma"] == 0.3
+
+
+#: cache_fraction -> (sha256 over the packed input/down masks, hits, misses),
+#: recorded with the stable-argsort LFU eviction the linear-time code replaced.
+#: Capacity 10 of 32 input units sits below the 17 active ones (the rank-all
+#: over-capacity branch); capacity 26 sits above it (the evict-inactive branch).
+DIP_CA_PINS = {
+    0.3: ("9844d3841c104ad7160e60978c51457eeb12b8292e39f47625c22ab77bf9a815", 1025, 1135),
+    0.8: ("4803f2c7e70de1ec827f1efb6c8ffd0b361aab54ff0a26a2f0f38e68c3cdad1f", 1905, 255),
+}
+
+
+@pytest.mark.parametrize("cache_fraction", sorted(DIP_CA_PINS))
+def test_compute_masks_and_hit_stats_are_pinned(cache_fraction):
+    mlp = SwiGLUMLP(GLUMLPConfig(d_model=32, d_ffn=96), seed=0)
+    x = np.random.default_rng(7).normal(size=(3, 12, 32))
+    method = CacheAwareDIP(0.5, gamma=0.2, cache_fraction=cache_fraction)
+    digest = hashlib.sha256()
+    for layer_index, chunk in ((0, x[0]), (1, x[1]), (0, x[2])):
+        masks = method.compute_masks(mlp, layer_index, chunk)
+        digest.update(np.packbits(masks.input_mask).tobytes())
+        digest.update(np.packbits(masks.down_mask).tobytes())
+    assert (digest.hexdigest(), method.stats.hits, method.stats.misses) == DIP_CA_PINS[cache_fraction]
