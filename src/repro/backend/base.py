@@ -5,9 +5,9 @@ projections, attention matmuls, softmax, RMSNorm, and the gated-MLP forwards
 — goes through a :class:`ComputeBackend`.  The reference implementation is
 :class:`~repro.backend.numpy_ref.NumpyBackend` (bit-identical to the
 pre-seam code); alternative backends make sparsity pay at compute time
-(gather-GEMM over active neurons), use compiled/threaded kernels, or run
-int8 weight paths.  Backends only see plain ``np.ndarray`` weights and
-activations: the autograd/training path never routes through them.
+(gather-GEMM over active neurons) or run int8 weight paths.  Backends only
+see plain ``np.ndarray`` weights and activations: the autograd/training path
+never routes through them.
 
 Selection precedence (most to least specific):
 

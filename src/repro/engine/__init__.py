@@ -19,7 +19,6 @@ from repro.engine.speculative import (
     SpeculationStats,
     SpeculativeContinuousBatch,
     SpeculativeDecoder,
-    serve_speculative_greedy,
 )
 from repro.engine.throughput import (
     ThroughputEstimate,
@@ -35,7 +34,6 @@ __all__ = [
     "SpeculationStats",
     "SpeculativeDecoder",
     "SpeculativeContinuousBatch",
-    "serve_speculative_greedy",
     "MaskRecorder",
     "iter_length_buckets",
     "ThroughputEstimate",

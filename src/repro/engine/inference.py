@@ -12,7 +12,7 @@ produces identical masks batched and sequential.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -652,6 +652,14 @@ class ContinuousBatch:
             )
         return logits[:, -1, :]
 
+    def step_greedy(self, slots: Sequence[int], tokens: Sequence[int]) -> List[List[int]]:
+        """Greedy-decode one round; returns the emitted tokens per slot.
+
+        Here each list holds the single argmax of :meth:`step`; a speculative
+        batch overrides this to emit up to ``k + 1`` tokens per slot.
+        """
+        return [[int(token)] for token in np.argmax(self.step(slots, tokens), axis=-1)]
+
     def evict(self, slot: int) -> None:
         """Retire a finished sequence and free its KV-cache slot."""
         slot = int(slot)
@@ -710,10 +718,13 @@ def serve_continuous_greedy(
 
     Greedy-decodes every prompt for its own ``max_new_tokens[i]`` budget,
     admitting queued prompts as slots free up (``admission``: ``"fcfs"`` or
-    ``"shortest"``, which admits shorter prompts first).  Returns the full
-    (prompt + continuation) sequences in input order — token-for-token
-    identical to one-at-a-time greedy ``generate``.  Used by benchmarks and
-    parity tests; the asyncio scheduler exposes the same core to servers.
+    ``"shortest"``, which admits shorter prompts first).  Each round emits
+    :meth:`ContinuousBatch.step_greedy`'s tokens per slot — one, or up to
+    ``k + 1`` for a speculative batch — trimmed at the request's budget.
+    Returns the full (prompt + continuation) sequences in input order —
+    token-for-token identical to one-at-a-time greedy ``generate``.  Used by
+    benchmarks and parity tests; the asyncio scheduler exposes the same core
+    to servers.
     """
     if admission not in ("fcfs", "shortest"):
         raise ValueError("admission must be 'fcfs' or 'shortest'")
@@ -726,17 +737,17 @@ def serve_continuous_greedy(
     waiting = list(range(len(prompts)))
     if admission == "shortest":
         waiting.sort(key=lambda i: len(prompts[i]))
-    results: List[Optional[np.ndarray]] = [None] * len(prompts)
-    generated: dict = {}
-    active: dict = {}  # slot -> request index
-    pending: dict = {}  # request index -> last sampled (unfed) token
+    results: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(prompts)
+    generated: Dict[int, List[int]] = {}
+    active: Dict[int, int] = {}  # slot -> request index
 
-    def retire_if_done(index: int, slot: int) -> None:
+    def emit(index: int, slot: int, tokens: Sequence[int]) -> None:
+        # Tokens past the budget are valid continuations; they are dropped.
+        generated[index].extend(tokens[: budgets[index] - len(generated[index])])
         if len(generated[index]) >= budgets[index]:
             results[index] = np.concatenate([prompts[index], np.asarray(generated[index], dtype=np.int64)])
             batch.evict(slot)
             del active[slot]
-            pending.pop(index, None)
 
     while waiting or active:
         n_free = len(batch.free_slots())
@@ -745,18 +756,12 @@ def serve_continuous_greedy(
             slots, logits = batch.admit([prompts[i] for i in admitted])
             for row, (index, slot) in enumerate(zip(admitted, slots)):
                 active[slot] = index
-                token = int(np.argmax(logits[row]))
-                generated[index] = [token]
-                pending[index] = token
-                retire_if_done(index, slot)
+                generated[index] = []
+                emit(index, slot, [int(np.argmax(logits[row]))])
         if not active:
             continue
         slots = sorted(active)
-        logits = batch.step(slots, [pending[active[s]] for s in slots])
-        for row, slot in enumerate(slots):
-            index = active[slot]
-            token = int(np.argmax(logits[row]))
-            generated[index].append(token)
-            pending[index] = token
-            retire_if_done(index, slot)
+        rows = batch.step_greedy(slots, [generated[active[s]][-1] for s in slots])
+        for slot, tokens in zip(slots, rows):
+            emit(active[slot], slot, tokens)
     return results

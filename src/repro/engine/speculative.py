@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.backend import use_backend
-from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, _as_prompt_list
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, _as_prompt_list, serve_continuous_greedy
 from repro.nn.transformer import MASKED_BIAS, left_pad_ragged
 from repro.sparsity.base import SparsityMethod
 
@@ -46,7 +46,6 @@ __all__ = [
     "SpeculationStats",
     "SpeculativeDecoder",
     "SpeculativeContinuousBatch",
-    "serve_speculative_greedy",
 ]
 
 
@@ -317,7 +316,7 @@ class SpeculativeDecoder:
             backend=self.target.backend,
             stats=self.stats,
         )
-        results = serve_speculative_greedy(batch, sequences, [max_new_tokens] * len(sequences))
+        results = serve_continuous_greedy(batch, sequences, [max_new_tokens] * len(sequences))
         width = longest + max_new_tokens
         out = np.full((len(sequences), width), pad_id, dtype=np.int64)
         for row, seq in enumerate(results):
@@ -331,7 +330,7 @@ class SpeculativeContinuousBatch(ContinuousBatch):
     Keeps a second, draft-density set of slot-wise KV caches mirroring the
     target caches (draft K/V differ — sparsity changes the hidden states
     feeding attention, so the caches cannot be shared).  :meth:`admit` runs
-    one extra batched draft prefill; :meth:`step_speculative` replaces the
+    one extra batched draft prefill; :meth:`step_greedy` replaces the
     one-token lock-step with draft/verify rounds that emit *up to*
     ``k + 1`` tokens per slot per call.
 
@@ -448,7 +447,7 @@ class SpeculativeContinuousBatch(ContinuousBatch):
         )
         return logits[:, -1, :]
 
-    def step_speculative(self, slots: Sequence[int], tokens: Sequence[int]) -> List[List[int]]:
+    def step_greedy(self, slots: Sequence[int], tokens: Sequence[int]) -> List[List[int]]:
         """One speculative round per slot; returns the emitted tokens per slot.
 
         ``tokens[i]`` is slot ``i``'s pending token (last emitted, not yet
@@ -538,67 +537,3 @@ class SpeculativeContinuousBatch(ContinuousBatch):
         self.stats.emitted_tokens += sum(len(row) for row in emitted)
         return emitted
 
-
-def serve_speculative_greedy(
-    batch: SpeculativeContinuousBatch,
-    prompts: Sequence[np.ndarray],
-    max_new_tokens: Sequence[int],
-    admission: str = "fcfs",
-) -> List[np.ndarray]:
-    """Drive a :class:`SpeculativeContinuousBatch` over a request list.
-
-    The speculative twin of :func:`serve_continuous_greedy`: same admission
-    loop, but each step emits *up to* ``k + 1`` tokens per slot, trimmed at
-    each request's own budget.  Returns full (prompt + continuation)
-    sequences in input order — token-identical to one-at-a-time greedy
-    ``generate``.
-    """
-    if admission not in ("fcfs", "shortest"):
-        raise ValueError("admission must be 'fcfs' or 'shortest'")
-    prompt_list = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
-    budgets = list(max_new_tokens)
-    if len(budgets) != len(prompt_list):
-        raise ValueError("need one max_new_tokens per prompt")
-    if min(budgets, default=1) <= 0:
-        raise ValueError("max_new_tokens must be positive")
-    waiting = list(range(len(prompt_list)))
-    if admission == "shortest":
-        waiting.sort(key=lambda i: len(prompt_list[i]))
-    results: List[Optional[np.ndarray]] = [None] * len(prompt_list)
-    generated: Dict[int, List[int]] = {}
-    active: Dict[int, int] = {}  # slot -> request index
-    pending: Dict[int, int] = {}  # request index -> last emitted (unfed) token
-
-    def retire_if_done(index: int, slot: int) -> None:
-        if len(generated[index]) >= budgets[index]:
-            results[index] = np.concatenate(
-                [prompt_list[index], np.asarray(generated[index], dtype=np.int64)]
-            )
-            batch.evict(slot)
-            del active[slot]
-            pending.pop(index, None)
-
-    while waiting or active:
-        n_free = len(batch.free_slots())
-        if waiting and n_free:
-            admitted, waiting = waiting[:n_free], waiting[n_free:]
-            slots, logits = batch.admit([prompt_list[i] for i in admitted])
-            for row, (index, slot) in enumerate(zip(admitted, slots)):
-                active[slot] = index
-                token = int(np.argmax(logits[row]))
-                generated[index] = [token]
-                pending[index] = token
-                retire_if_done(index, slot)
-        if not active:
-            continue
-        slots = sorted(active)
-        rows = batch.step_speculative(slots, [pending[active[s]] for s in slots])
-        for slot, row_tokens in zip(slots, rows):
-            index = active[slot]
-            for token in row_tokens:
-                if len(generated[index]) >= budgets[index]:
-                    break  # beyond-budget continuation tokens; slot retires below
-                generated[index].append(token)
-                pending[index] = token
-            retire_if_done(index, slot)
-    return [seq for seq in results if seq is not None]

@@ -1,10 +1,9 @@
 """Grid and sweep runners over :class:`~repro.pipeline.session.SparseSession`.
 
-These subsume the legacy ``repro.eval.harness.run_method_grid`` /
-``run_density_sweep`` free functions (which now delegate here) and add the
-spec-driven entry point :func:`run_experiment`, which evaluates a declarative
-:class:`~repro.pipeline.spec.ExperimentSpec` end to end and can persist its
-rows as artifacts.  A spec whose ``hardware`` is a list fans out through
+:func:`method_grid` and :func:`density_sweep` evaluate one calibrated session
+over methods or densities.  The spec-driven entry point :func:`run_experiment`
+evaluates a declarative :class:`~repro.pipeline.spec.ExperimentSpec` end to
+end and can persist its rows as artifacts.  A spec whose ``hardware`` is a list fans out through
 :func:`hardware_sweep`: the density grid is evaluated once on a shared
 calibrated session and only the hardware simulation runs per device point —
 this is how Table 6 (DRAM ablation) and Table 7 (Flash ablation) regenerate

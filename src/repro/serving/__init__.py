@@ -17,17 +17,17 @@ request-driven service:
   head (system prompts) prefill only their unseen suffix.
 * :mod:`repro.serving.pool` — :class:`SessionPool`, calibrate once and fan
   out per-worker :class:`~repro.pipeline.session.SparseSession` clones.
-* :mod:`repro.serving.server` — a stdlib asyncio HTTP front-end
+* :mod:`repro.serving.server` — the one stdlib asyncio HTTP front end
   (``/generate`` with incremental token streaming, ``/experiment``,
-  ``/stats``, ``/metrics`` in Prometheus or JSON form) plus
-  :class:`BackgroundServer` for tests and demos.
+  ``/stats``, ``/metrics``), shared by :class:`ServingServer` and
+  :class:`FleetServer`, plus :class:`BackgroundServer` for tests and demos.
 * :mod:`repro.serving.fleet` — the multi-process serving fleet:
   :class:`FleetManager` launches N decode workers plus a separate experiment
   worker class over pluggable mailbox transports (in-proc queues for
   deterministic tests, ``multiprocessing`` pipes for real isolation), with
   per-worker heartbeat/health, automatic restart, in-flight request
-  re-dispatch, and graceful drain; :class:`FleetServer` exposes the same
-  four HTTP endpoints routed through the fleet.
+  re-dispatch, and graceful drain; :class:`FleetServer` serves the same
+  HTTP front end routed through the fleet.
 * :mod:`repro.serving.workload` — :class:`WorkloadSpec` synthetic traces
   (Poisson/bursty arrivals, log-normal lengths, shared-prefix tenant fleets)
   expanded deterministically by :func:`generate_workload` and replayed with

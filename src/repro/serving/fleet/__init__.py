@@ -19,8 +19,8 @@ router + worker-pool architecture:
   restart with in-flight request re-dispatch (greedy/seeded decoding is
   deterministic, so a retried request reproduces its tokens and duplicates
   are suppressed by index), and graceful drain.
-* :mod:`~repro.serving.fleet.http` — :class:`FleetServer`, the HTTP
-  front-end with per-worker ``/stats`` and ``worker``-labelled ``/metrics``.
+* :mod:`~repro.serving.fleet.http` — :class:`FleetServer`, the shared HTTP
+  front end backed by the fleet (per-worker ``/stats`` and ``/metrics``).
 
 .. code-block:: python
 

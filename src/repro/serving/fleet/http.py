@@ -1,48 +1,45 @@
-"""HTTP front-end over a :class:`~repro.serving.fleet.manager.FleetManager`.
+"""HTTP front end over a :class:`~repro.serving.fleet.manager.FleetManager`.
 
-The same four endpoints as the single-process
-:class:`~repro.serving.server.ServingServer` — ``POST /generate`` (streamed
-ndjson or a single JSON result), ``POST /experiment``, ``GET /stats``,
-``GET /metrics`` — but routed through the multi-process fleet: ``/generate``
-lands on a decode worker (least-loaded or prefix-affinity), ``/experiment``
-on the experiment worker class, and ``/stats`` / ``/metrics`` aggregate
-per-worker snapshots (``worker``-labelled gauges in the
-:mod:`repro.obs` registry).
-
-Runs on the same asyncio machinery as ``server.py`` (whose request/response
-helpers it reuses); every blocking fleet call crosses into a thread via
-``run_in_executor`` so the event loop never stalls behind a worker.
+The HTTP layer is :class:`~repro.serving.server.HTTPFrontEnd`, shared with
+the single-process :class:`~repro.serving.server.ServingServer`; this module
+only backs it with a fleet.  Every blocking fleet call, each token pull of a
+stream included, runs in a worker thread so the event loop never stalls.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Dict, Optional, Union
+from typing import Any, AsyncIterator, Dict, Optional, Union
 
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import get_registry
-from repro.pipeline.spec import SpecError
 from repro.serving.fleet.config import FleetConfig
 from repro.serving.fleet.manager import FleetManager, FleetStream
-from repro.serving.requests import GenerationRequest, RequestError
-from repro.serving.server import (
-    _HTTPError,
-    _json_response,
-    _read_request,
-    _response_head,
-    _write_chunk,
-)
-from repro.utils.logging import get_logger
-
-logger = get_logger("serving.fleet.http")
+from repro.serving.requests import GenerationRequest, GenerationResult
+from repro.serving.server import HTTPFrontEnd
 
 
-class FleetServer:
-    """The fleet front-end: manager + HTTP endpoints.
+class _AsyncFleetStream:
+    """A blocking :class:`FleetStream`, iterated asynchronously: one thread hop per token."""
 
-    Accepts either a :class:`FleetConfig` (the manager is built and owned by
-    the server, started on :meth:`start` and stopped on :meth:`stop`) or an
+    def __init__(self, stream: FleetStream) -> None:
+        self.stream = stream
+
+    def __getattr__(self, name: str) -> Any:  # request_id, finish_reason
+        return getattr(self.stream, name)
+
+    async def __aiter__(self) -> AsyncIterator[int]:
+        while (token := await asyncio.to_thread(self.stream.next_item)) is not None:
+            yield token
+
+
+class FleetServer(HTTPFrontEnd):
+    """The fleet front end: manager + HTTP endpoints.
+
+    ``/generate`` lands on a decode worker (least-loaded or prefix-affinity),
+    ``/experiment`` on the experiment worker class, and ``/stats`` /
+    ``/metrics`` aggregate per-worker (``worker``-labelled) figures.  Accepts
+    either a :class:`FleetConfig` (the manager is built and owned by the
+    server, started on :meth:`start` and stopped on :meth:`stop`) or an
     already-running :class:`FleetManager` (borrowed; its lifecycle stays with
     the caller).
     """
@@ -55,150 +52,34 @@ class FleetServer:
         port: int = 0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if isinstance(fleet, FleetManager):
-            self.manager = fleet
-            self._owns_manager = False
-        else:
-            config = fleet if fleet is not None else FleetConfig()
-            self.manager = FleetManager(config, registry=registry if registry is not None
-                                        else get_registry())
-            self._owns_manager = True
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.Server] = None
+        self._owns_manager = not isinstance(fleet, FleetManager)
+        self.manager = fleet if isinstance(fleet, FleetManager) else FleetManager(fleet, registry=registry)
+        super().__init__(host, port, self.manager.registry)
 
-    # ---------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
         if self._owns_manager and not self.manager.started:
-            await loop.run_in_executor(None, self.manager.start)
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("fleet serving on http://%s:%d (%d decode + %d experiment workers)",
-                    self.host, self.port, self.manager.config.decode_workers,
-                    self.manager.config.experiment_workers)
+            await asyncio.to_thread(self.manager.start)
+        await super().start()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         if self._owns_manager:
-            await asyncio.get_running_loop().run_in_executor(None, self.manager.stop)
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ----------------------------------------------------------------- routing
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, query, _headers, body = await _read_request(reader)
-                if (method, path) == ("POST", "/generate"):
-                    await self._handle_generate(writer, body)
-                elif (method, path) == ("POST", "/experiment"):
-                    await self._handle_experiment(writer, body)
-                elif (method, path) == ("GET", "/stats"):
-                    _json_response(writer, 200, self.manager.stats())
-                elif (method, path) == ("GET", "/metrics"):
-                    self._handle_metrics(writer, query)
-                elif path in ("/generate", "/experiment", "/stats", "/metrics"):
-                    raise _HTTPError(405, f"{method} not allowed on {path}")
-                else:
-                    raise _HTTPError(
-                        404,
-                        f"unknown path {path!r}; use /generate, /experiment, /stats, /metrics",
-                    )
-            except _HTTPError as exc:
-                _json_response(writer, exc.status, {"error": exc.message})
-            except (RequestError, SpecError) as exc:
-                _json_response(writer, 400, {"error": str(exc)})
-            except (ConnectionResetError, BrokenPipeError):
-                raise  # client went away mid-response: nothing left to write
-            except Exception as exc:  # pragma: no cover - defensive
-                logger.exception("fleet request failed")
-                _json_response(writer, 500, {"error": f"{type(exc).__name__}: {exc}"})
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # client went away
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    # --------------------------------------------------------------- endpoints
-    async def _handle_generate(self, writer: asyncio.StreamWriter, body: bytes) -> None:
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except json.JSONDecodeError as exc:
-            raise _HTTPError(400, f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "request body must be a JSON object")
-        stream = bool(payload.pop("stream", True))
-        request = GenerationRequest.from_dict(payload)
-        loop = asyncio.get_running_loop()
-        if not stream:
-            result = await loop.run_in_executor(None, self.manager.generate, request)
-            _json_response(writer, 200, result.to_dict())
-            return
-        # Routing (and validation) happens before the chunked head commits,
-        # so an over-budget prompt still goes out as a clean 400.
-        fleet_stream: FleetStream = self.manager.submit(request)
-        writer.write(_response_head(200, "application/x-ndjson", "Transfer-Encoding: chunked\r\n"))
-        index = 0
-        tokens: list = []
-        final: Dict[str, Any] = {"done": True, "request_id": fleet_stream.request_id,
-                                 "prompt": list(request.prompt), "tokens": tokens}
-        try:
-            while True:
-                token = await loop.run_in_executor(None, fleet_stream.next_item)
-                if token is None:
-                    break
-                tokens.append(token)
-                _write_chunk(writer, (json.dumps({"index": index, "token": token}) + "\n").encode())
-                await writer.drain()
-                index += 1
-            final["finish_reason"] = fleet_stream.finish_reason
-        except RuntimeError as exc:
-            # Worker-side failure after the chunked response started: surface
-            # it as a terminal error line, never as a second HTTP head.
-            final = {"done": True, "request_id": fleet_stream.request_id,
-                     "error": str(exc), "tokens": tokens}
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            # The client dropped the stream: stop the fleet-side decode.
-            self.manager.cancel(fleet_stream.request_id)
-            raise
-        _write_chunk(writer, (json.dumps(final, sort_keys=True) + "\n").encode())
-        _write_chunk(writer, b"")  # terminal chunk
-
-    async def _handle_experiment(self, writer: asyncio.StreamWriter, body: bytes) -> None:
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except json.JSONDecodeError as exc:
-            raise _HTTPError(400, f"request body is not valid JSON: {exc}") from exc
-        result = await asyncio.get_running_loop().run_in_executor(
-            None, self.manager.experiment, payload
-        )
-        _json_response(writer, 200, result)
-
-    def _handle_metrics(self, writer: asyncio.StreamWriter, query: Dict[str, str]) -> None:
-        fmt = query.get("format", "prometheus")
-        if fmt == "json":
-            _json_response(writer, 200, self.manager.registry.snapshot())
-            return
-        if fmt != "prometheus":
-            raise _HTTPError(400, f"unknown metrics format {fmt!r}; use 'prometheus' or 'json'")
-        body = self.manager.registry.render_prometheus().encode()
-        writer.write(_response_head(
-            200, "text/plain; version=0.0.4; charset=utf-8", f"Content-Length: {len(body)}\r\n"
-        ))
-        writer.write(body)
+            await asyncio.to_thread(self.manager.stop)
 
     def stats(self) -> Dict[str, Any]:
         return self.manager.stats()
+
+    async def _submit(self, request: GenerationRequest) -> GenerationResult:
+        return await asyncio.to_thread(self.manager.generate, request)
+
+    def _stream(self, request: GenerationRequest) -> _AsyncFleetStream:
+        return _AsyncFleetStream(self.manager.submit(request))
+
+    def _cancel(self, request_id: str) -> None:
+        self.manager.cancel(request_id)
+
+    async def _experiment(self, payload: Any) -> Dict[str, Any]:
+        return await asyncio.to_thread(self.manager.experiment, payload)
 
 
 __all__ = ["FleetServer"]

@@ -133,8 +133,8 @@ class FleetStream:
     def next_item(self) -> Union[int, None]:
         """One queue pull: a token, or ``None`` once the stream ended.
 
-        Raises like iteration does; exists so an async caller can bridge the
-        blocking pull through ``run_in_executor`` one item at a time.
+        Raises like iteration does; exists so an async caller (the fleet's
+        HTTP front end) can pull one item at a time in a worker thread.
         """
         item = self._entry.queue.get()
         if item is _DONE:

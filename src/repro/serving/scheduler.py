@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import AsyncIterator, Dict, List, Optional
+from typing import Any, AsyncIterator, Dict, List, Optional
 
 import numpy as np
 
@@ -639,30 +639,13 @@ class ContinuousBatchingScheduler:
         if not self._active:
             return
         slots = sorted(self._active)
-        if isinstance(self.batch, SpeculativeContinuousBatch):
-            try:
-                rows = self.batch.step_speculative(
-                    slots, [self._active[s].last_token for s in slots]
-                )
-            except Exception as exc:
-                logger.exception(
-                    "speculative step failed; failing %d active request(s)", len(slots)
-                )
-                self._fail_entries([self._active[s] for s in slots], exc)
-                return
-            self._c_steps.inc()
-            self._c_step_slots.inc(len(slots))
-            for slot, tokens in zip(slots, rows):
-                entry = self._active[slot]
-                for token in tokens:
-                    if entry.remaining <= 0:
-                        # Beyond-budget continuation tokens from an accepted
-                        # draft; the entry already retired (slot evicted).
-                        break
-                    self._emit_token(entry, token)
-            return
+        tokens = [self._active[s].last_token for s in slots]
+        # A speculative batch is greedy-only and emits up to k + 1 tokens per
+        # slot; a plain one returns logits for the request's own sampler.
+        speculative = isinstance(self.batch, SpeculativeContinuousBatch)
+        rows: Any  # emitted tokens per slot, or one logits row per slot
         try:
-            logits = self.batch.step(slots, [self._active[s].last_token for s in slots])
+            rows = self.batch.step_greedy(slots, tokens) if speculative else self.batch.step(slots, tokens)
         except Exception as exc:
             # Fail the whole live batch rather than the decode loop: waiting
             # requests are untouched and keep being served.
@@ -671,8 +654,17 @@ class ContinuousBatchingScheduler:
             return
         self._c_steps.inc()
         self._c_step_slots.inc(len(slots))
-        for row, slot in enumerate(slots):
-            self._emit(self._active[slot], logits[row])
+        for slot, row in zip(slots, rows):
+            entry = self._active[slot]
+            if not speculative:
+                self._emit(entry, row)
+                continue
+            for token in row:
+                if entry.remaining <= 0:
+                    # Beyond-budget continuation tokens from an accepted
+                    # draft; the entry already retired (slot evicted).
+                    break
+                self._emit_token(entry, token)
 
     async def _run(self) -> None:
         logger.info(

@@ -13,17 +13,13 @@ and are instantiated by name through :func:`create_method` (or
 arguments are validated against the factory's signature: unknown kwargs raise
 ``TypeError`` listing the method's accepted parameters instead of being
 silently swallowed.
-
-The legacy surface (``METHOD_REGISTRY`` mapping, :func:`build_method`) is kept
-as thin deprecation shims.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
-import warnings
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sparsity.base import DenseBaseline, SparsityMethod
 from repro.sparsity.cache_aware import CacheAwareDIP
@@ -258,52 +254,3 @@ def _glu_oracle(
     return GLUPruning(
         target_density, oracle=True, threshold_strategy=threshold_strategy, keep_fraction=keep_fraction
     )
-
-
-# ---------------------------------------------------------------------------
-# Legacy surface (deprecated shims).
-# ---------------------------------------------------------------------------
-
-
-def build_method(name: str, target_density: float = 0.5, **kwargs: Any) -> SparsityMethod:
-    """Deprecated alias for :func:`create_method`.
-
-    Unlike the original implementation, unknown kwargs now raise ``TypeError``
-    instead of being silently discarded.
-    """
-    warnings.warn(
-        "build_method() is deprecated; use repro.sparsity.registry.create_method() "
-        "or REGISTRY.create() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return REGISTRY.create(name, target_density=target_density, **kwargs)
-
-
-class _LegacyRegistryView(Mapping):
-    """Deprecated dict-style view over :data:`REGISTRY` (name → factory)."""
-
-    def __getitem__(self, name: str) -> MethodFactory:
-        warnings.warn(
-            "METHOD_REGISTRY is deprecated; use repro.sparsity.registry.REGISTRY "
-            "(register_method / create_method) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name not in REGISTRY:
-            raise KeyError(name)
-
-        def factory(target_density: Optional[float] = None, **kwargs: Any) -> SparsityMethod:
-            return REGISTRY.create(name, target_density=target_density, **kwargs)
-
-        return factory
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(REGISTRY.names())
-
-    def __len__(self) -> int:
-        return len(REGISTRY.names())
-
-
-#: Deprecated: the pre-redesign mapping interface.
-METHOD_REGISTRY = _LegacyRegistryView()

@@ -140,9 +140,10 @@ def timing():
 
 
 def _raw_http(host: str, port: int, request: bytes):
-    """Send ``request`` verbatim, read to EOF; return (status, JSON body)."""
+    """Send ``request`` verbatim and half-close; read to EOF; return (status, JSON body)."""
     with socket.create_connection((host, port), timeout=scaled(30)) as sock:
         sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)  # the client's FIN: nothing more is coming
         response = b""
         while chunk := sock.recv(65536):
             response += chunk

@@ -21,7 +21,6 @@ from repro.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.backend.compiled import CompiledBackend
 from repro.backend.gather import DEFAULT_CROSSOVER_DENSITY, GatherGEMMBackend
 from repro.backend.int8 import Int8Backend, quantize_weight_int8
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
@@ -29,7 +28,7 @@ from repro.pipeline.spec import ExperimentSpec
 from repro.sparsity.registry import REGISTRY
 
 #: Backends expected to be token-identical to the numpy reference.
-EXACT_BACKENDS = ("gather", "compiled")
+EXACT_BACKENDS = ("gather",)
 
 METHODS = tuple(sorted(REGISTRY.names()))
 
@@ -49,7 +48,7 @@ def _engine(model, method_name, calibration_sequences, backend):
 
 # ------------------------------------------------------------------ registry
 def test_backend_registry():
-    assert set(available_backends()) >= {"numpy", "gather", "compiled", "int8"}
+    assert set(available_backends()) >= {"numpy", "gather", "int8"}
     assert get_backend("gather") is get_backend("gather")  # singleton per name
     with pytest.raises(KeyError, match="available"):
         get_backend("missing")
@@ -226,17 +225,6 @@ def test_masked_down_gather_matches_reference(rng):
     out = backend.masked_down(w_down, glu.copy(), mask)
     assert backend.stats["gather_calls"] == 1
     np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-# ------------------------------------------------------------------ compiled
-def test_compiled_backend_threaded_gemm_matches(rng):
-    backend = CompiledBackend(n_threads=2, block_rows=8, min_parallel_flops=1)
-    a = rng.normal(size=(64, 24))
-    b = rng.normal(size=(24, 16))
-    np.testing.assert_array_equal(backend.matmul(a, b), a @ b)
-    # Below the parallel cutoff (or non-2D) it stays on plain numpy.
-    small = backend.matmul(a[:4], b)
-    np.testing.assert_array_equal(small, a[:4] @ b)
 
 
 # ---------------------------------------------------------------------- int8

@@ -450,20 +450,6 @@ class TestFleetServer:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 400
 
-    @pytest.mark.parametrize("length", [b"abc", b"-5"])
-    def test_invalid_content_length_is_a_400(self, reference_session, raw_http, length):
-        want = expected_tokens(reference_session, PROMPT, 3)
-        config = FleetConfig(decode_workers=1, experiment_workers=0, transport="inproc")
-        with BackgroundServer(server_factory=FleetServer, fleet=config,
-                              registry=MetricsRegistry()) as bg:
-            host, port = bg.server.host, bg.server.port
-            request = b"POST /generate HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n"
-            assert raw_http(host, port, request) == (400, {"error": "invalid Content-Length"})
-            body = json.dumps({"prompt": list(PROMPT), "max_new_tokens": 3, "stream": False}).encode()
-            request = b"POST /generate HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
-            status, payload = raw_http(host, port, request)
-            assert status == 200 and payload["tokens"] == want
-
 
 # ------------------------------------------------------------- mailbox layer
 class TestExchange:

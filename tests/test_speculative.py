@@ -16,12 +16,11 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.engine.inference import SparseInferenceEngine
+from repro.engine.inference import SparseInferenceEngine, serve_continuous_greedy
 from repro.engine.speculative import (
     SpeculationStats,
     SpeculativeContinuousBatch,
     SpeculativeDecoder,
-    serve_speculative_greedy,
 )
 from repro.nn.attention import KVCache
 from repro.pipeline.session import SparseSession
@@ -87,7 +86,7 @@ class TestParityMatrix:
             target, decoder.draft, k=k, max_batch_size=2, max_seq_len=48
         )
         budgets = [MAX_NEW, 4, 7]
-        outs = serve_speculative_greedy(batch, prompts, budgets)
+        outs = serve_continuous_greedy(batch, prompts, budgets)
         for prompt, budget, out in zip(prompts, budgets, outs):
             ref = target.generate(prompt, budget, temperature=0.0)
             np.testing.assert_array_equal(out, ref)

@@ -9,7 +9,9 @@ arrived, and asserts the crash is invisible to the client:
   to a single-process ``SparseSession.generate`` on the same worker spec,
   with no duplicated or missing tokens;
 * the dead worker slot restarts (new PID, reports ready);
-* the recovered fleet serves fresh traffic with the same parity.
+* the recovered fleet serves fresh traffic with the same parity, streamed
+  over a real socket through :class:`FleetServer` (the HTTP front end shared
+  with the single-process server) wrapping the running manager.
 
 A SIGKILL race is possible (the decode can finish before the signal lands),
 so the kill is retried a few times; the run only counts once a death was
@@ -22,16 +24,19 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import signal
 import sys
 import time
+from typing import List
 
 import numpy as np
 
 from repro.obs import MetricsRegistry
-from repro.serving import GenerationRequest
-from repro.serving.fleet import FleetConfig, FleetManager, build_worker_session
+from repro.serving import BackgroundServer, GenerationRequest
+from repro.serving.fleet import FleetConfig, FleetManager, FleetServer, build_worker_session
 
 PROMPT = (5, 9, 2, 7)
 MAX_NEW_TOKENS = 80
@@ -54,6 +59,24 @@ def serving_worker_pid(fleet: FleetManager) -> "int | None":
         if worker["role"] == "decode" and worker["inflight"] > 0 and worker["alive"]:
             return worker["pid"]
     return None
+
+
+def stream_generate(host: str, port: int, prompt: tuple, max_new_tokens: int) -> List[int]:
+    """POST a streamed ``/generate``; return the tokens, checked against the final line."""
+    conn = http.client.HTTPConnection(host, port, timeout=120)
+    try:
+        body = json.dumps({"prompt": list(prompt), "max_new_tokens": max_new_tokens, "stream": True})
+        conn.request("POST", "/generate", body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200, f"/generate answered {response.status}: {response.read()!r}"
+        lines = [json.loads(line) for line in response.read().decode().splitlines()]
+    finally:
+        conn.close()
+    *chunks, final = lines
+    tokens = [chunk["token"] for chunk in chunks]
+    assert [chunk["index"] for chunk in chunks] == list(range(len(tokens))), "token indices out of order"
+    assert final["done"] and final["tokens"] == tokens, f"final line disagrees with the stream: {final}"
+    return tokens
 
 
 def main() -> int:
@@ -105,11 +128,11 @@ def main() -> int:
               + ", ".join(f"{wid} pid={w['pid']} restarts={w['restarts']}"
                           for wid, w in sorted(fleet.stats()["workers"].items())))
 
-        follow_up = fleet.generate(
-            GenerationRequest(prompt=PROMPT, max_new_tokens=MAX_NEW_TOKENS), timeout=120
-        )
-        assert list(follow_up.tokens) == want, "post-recovery request diverged"
-        print("recovered fleet serves fresh traffic with greedy parity")
+        with BackgroundServer(server_factory=FleetServer, fleet=fleet) as background:
+            server = background.server
+            follow_up = stream_generate(server.host, server.port, PROMPT, MAX_NEW_TOKENS)
+        assert follow_up == want, "post-recovery request diverged"
+        print(f"recovered fleet streams fresh traffic over HTTP ({background.url}) with greedy parity")
 
     print("PASS: fleet smoke (SIGKILL mid-stream -> re-dispatch -> restart -> parity)")
     return 0
