@@ -11,7 +11,13 @@ from repro.autograd.tensor import Tensor
 
 
 class Optimizer:
-    """Base optimizer operating on a list of parameter tensors."""
+    """Base optimizer operating on a list of parameter tensors.
+
+    Steps write each updated parameter into a fresh array with the same
+    memory order instead of updating it in place: caches keyed on a weight
+    array's identity (the gather backend's kernel plans) then never see
+    stale values.
+    """
 
     def __init__(self, parameters: Iterable[Tensor], lr: float):
         self.parameters: List[Tensor] = [p for p in parameters if p.requires_grad]
@@ -28,6 +34,11 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    @staticmethod
+    def _apply(param: Tensor, delta: np.ndarray) -> None:
+        """``param.data - delta``, stored in a fresh array of the same order."""
+        param.data = np.subtract(param.data, delta, out=np.empty_like(param.data))
 
 
 class SGD(Optimizer):
@@ -59,7 +70,7 @@ class SGD(Optimizer):
                 velocity = self.momentum * velocity + grad
                 self._velocity[id(param)] = velocity
                 grad = velocity
-            param.data -= self.lr * grad
+            self._apply(param, self.lr * grad)
 
 
 class Adam(Optimizer):
@@ -103,7 +114,7 @@ class Adam(Optimizer):
             update = m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * param.data
-            param.data -= self.lr * update
+            self._apply(param, self.lr * update)
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:

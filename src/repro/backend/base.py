@@ -225,12 +225,11 @@ def resolve_backend(backend: BackendLike) -> ComputeBackend:
 def use_backend(backend: BackendLike) -> Iterator[ComputeBackend]:
     """Scope within which :func:`active_backend` returns ``backend``.
 
-    ``None`` is a no-op scope that inherits the ambient selection — callers
-    holding an optional backend can wrap unconditionally.
+    ``None`` pins the ambient selection (enclosing scope, else
+    ``REPRO_BACKEND``) for the scope's duration, so callers holding an
+    optional backend can wrap unconditionally and every op inside resolves
+    the backend without re-reading the environment.
     """
-    if backend is None:
-        yield active_backend()
-        return
     resolved = resolve_backend(backend)
     token = _ACTIVE.set(resolved)
     try:

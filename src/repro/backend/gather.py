@@ -2,7 +2,8 @@
 
 ``masked_mlp``/``masked_down`` resolve the union of active neurons from the
 mask and run the three MLP GEMMs over only the active rows of W_u/W_g and
-columns of W_d.  Two regimes, chosen by a measured crossover:
+columns of W_d.  Three regimes, chosen by a measured crossover and by the
+batch width:
 
 * **Stable index sets** (shared masks, static pruning, repeated decode steps)
   hit a cache of pre-compiled *kernel plans* — the gathered contiguous
@@ -17,8 +18,17 @@ columns of W_d.  Two regimes, chosen by a measured crossover:
   union of 16 independent per-token top-k masks is near-dense anyway), so a
   never-seen index set runs dense first and is promoted to a cached plan only
   when it repeats.
+* **Batch-1 streaming gather** (one token, a never-seen index set below the
+  crossover, a column-major weight): the paper's on-device decode regime,
+  where per-token masks never repeat and the step is bound by weight bytes.
+  ``SwiGLUMLP`` stores its weights column-major, so the units DIP keeps —
+  input features of W_u/W_g (``glu_act`` with an ``input_mask``) and
+  neurons of W_d (``masked_down``) — are contiguous rows of ``W.T``.  The
+  kept rows are copied chunk by chunk into a small reused buffer that stays
+  in L2, and each chunk feeds one GEMV, so only the kept bytes leave memory.
+  A cached plan still wins; row-major weights keep the dense fallback.
 
-Per-token masks are honoured exactly in both regimes: the batched variant
+Per-token masks are honoured exactly in every regime: the batched variant
 gathers the union and re-applies each token's sub-mask where it differs from
 the union; a single token (``T == 1``) degenerates to the pure per-token
 gather.
@@ -44,6 +54,12 @@ from repro.backend.numpy_ref import NumpyBackend
 #: crossover on every run.
 DEFAULT_CROSSOVER_DENSITY = 0.6
 
+#: Bytes of weight rows one chunk of the batch-1 streaming gather copies.
+#: The chunk buffer is reused, so it stays in L2 between the copy and the
+#: GEMV that reads it; copying a whole index set at once spills to L3/DRAM
+#: and costs about as much as the dense GEMV it replaces.
+STREAM_CHUNK_BYTES = 512 * 1024
+
 _CacheKey = Tuple[int, Tuple[int, ...], float, float, int, bytes]
 
 class _DensePlan:
@@ -61,26 +77,25 @@ class _DensePlan:
 class _MLPPlan:
     """Compiled steady-state kernel for one (W_u, W_g, W_d, mask) binding.
 
-    ``fused`` holds the up- and gate-projections stacked into one GEMM operand
-    (columns ``[:width]`` produce up, ``[width:]`` produce gate): one wide GEMM
-    beats two narrow ones at gathered sizes, where per-call BLAS overhead is a
-    large fraction of the work.  ``weights`` pins the source arrays alive so
-    the id-based plan key can never alias a recycled address.
+    ``fused`` holds the up- and gate-projections stacked along a leading axis
+    of two (``[0]`` produces up, ``[1]`` produces gate): one batched matmul
+    call beats two at gathered sizes, where per-call overhead is a large
+    fraction of the work, and each half of its output is contiguous for the
+    activation.  ``weights`` pins the source arrays alive so the id-based
+    plan key can never alias a recycled address.
     """
 
-    __slots__ = ("fused", "width", "down", "sub_mask", "act", "weights")
+    __slots__ = ("fused", "down", "sub_mask", "act", "weights")
 
     def __init__(
         self,
         fused,
-        width: int,
         down,
         sub_mask: Optional[np.ndarray],
         act,
         weights: Tuple[np.ndarray, ...] = (),
     ) -> None:
         self.fused = fused
-        self.width = width
         self.down = down
         self.sub_mask = sub_mask
         self.act = act
@@ -131,6 +146,7 @@ class GatherGEMMBackend(NumpyBackend):
         self._cache: "OrderedDict[_CacheKey, Optional[np.ndarray]]" = OrderedDict()
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
+        self._local = threading.local()  # per-thread streaming-gather buffer
         self.stats: Dict[str, int] = {}
         self.reset_stats()
 
@@ -254,8 +270,13 @@ class GatherGEMMBackend(NumpyBackend):
 
     @staticmethod
     def _plan_fuse(up_entry, gate_entry):
-        """Stack the up and gate plan entries into one fused GEMM operand."""
-        return np.hstack((up_entry, gate_entry))
+        """Stack the up and gate plan entries into one ``(2, in, out)`` operand.
+
+        Row-major, like the column-major weights' ``W.T`` the masked-dense
+        path multiplies by: BLAS runs it untransposed, which is faster at
+        decode-batch shapes.
+        """
+        return np.ascontiguousarray(np.stack((up_entry, gate_entry)))
 
     # ------------------------------------------------------------ mask → idx
     @staticmethod
@@ -289,7 +310,6 @@ class GatherGEMMBackend(NumpyBackend):
                 return None
             return _MLPPlan(
                 self._plan_fuse(self._plan_entry(w_up, idx, 0), self._plan_entry(w_gate, idx, 0)),
-                idx.size,
                 self._plan_entry(w_down, idx, 1),
                 self._sub_mask(mask2d, idx),
                 activation_fn(activation),
@@ -320,7 +340,6 @@ class GatherGEMMBackend(NumpyBackend):
             return None  # promotion pending: dense now, plan on the next sighting
         plan = _MLPPlan(
             self._plan_fuse(entries[0], entries[1]),
-            idx.size,
             entries[2],
             self._sub_mask(mask2d, idx),
             activation_fn(activation),
@@ -354,7 +373,72 @@ class GatherGEMMBackend(NumpyBackend):
         self._store_plan(key, plan)
         return plan
 
+    # ------------------------------------------------- batch-1 streaming gather
+    def _stream_rows(self, weight: np.ndarray) -> Optional[np.ndarray]:
+        """``weight.T`` when its rows are contiguous (a column-major weight),
+        else ``None``: the streaming gather does not apply.
+
+        Int8 backends override this to opt out (their GEMMs read codes).
+        """
+        rows = weight.T
+        return rows if rows.flags.c_contiguous else None
+
+    def _stream_index(self, mask: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+        """Kept units of a single token's boolean mask, or ``None`` when the
+        streaming gather does not apply (several tokens, soft or empty
+        masks, density above the crossover)."""
+        width = x.shape[-1]
+        if x.size != width or mask.size != width or mask.dtype != np.bool_:
+            return None
+        idx = np.flatnonzero(mask)
+        if idx.size == 0 or idx.size > self.crossover_density * width:
+            return None
+        return idx
+
+    def _stream_gemv(self, v: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``v @ rows[idx]`` for gathered activations ``v``, one GEMV per
+        chunk of kept rows copied into the reused buffer."""
+        width = rows.shape[1]
+        step = max(1, STREAM_CHUNK_BYTES // (width * rows.itemsize))
+        buf = getattr(self._local, "buf", None)
+        if buf is None or buf.dtype != rows.dtype or buf.size < step * width:
+            buf = self._local.buf = np.empty(step * width, dtype=rows.dtype)
+        out = None
+        for start in range(0, idx.size, step):
+            part = idx[start : start + step]
+            chunk = buf[: part.size * width].reshape(part.size, width)
+            rows.take(part, axis=0, out=chunk, mode="clip")  # "clip": no bounds-check copy
+            partial = v[start : start + step] @ chunk
+            if out is None:
+                out = partial
+            else:
+                out += partial
+        return out
+
     # --------------------------------------------------------------- kernels
+    def glu_act(
+        self,
+        w_up: np.ndarray,
+        w_gate: np.ndarray,
+        activation: str,
+        x: np.ndarray,
+        input_mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        if input_mask is None:
+            return super().glu_act(w_up, w_gate, activation, x)
+        idx = self._stream_index(np.asarray(input_mask), x)
+        up_rows = gate_rows = None
+        if idx is not None:
+            up_rows, gate_rows = self._stream_rows(w_up), self._stream_rows(w_gate)
+        if up_rows is None or gate_rows is None:
+            self.stats["dense_calls"] += 1
+            return super().glu_act(w_up, w_gate, activation, x, input_mask=input_mask)
+        self.stats["gather_calls"] += 1
+        v = x.reshape(-1)[idx]
+        glu = activation_fn(activation)(self._stream_gemv(v, gate_rows, idx))
+        glu *= self._stream_gemv(v, up_rows, idx)
+        return glu.reshape(*x.shape[:-1], w_up.shape[0])
+
     def masked_mlp(
         self,
         w_up: np.ndarray,
@@ -373,18 +457,25 @@ class GatherGEMMBackend(NumpyBackend):
         x_eff = x * input_mask if input_mask is not None else x
         x2d = x_eff.reshape(-1, x_eff.shape[-1])
         ug = self._plan_gemm(x2d, plan.fused)
-        glu = plan.act(ug[:, plan.width :])  # fresh array: in-place from here on
-        glu *= ug[:, : plan.width]
+        glu = plan.act(ug[1])  # fresh array: in-place from here on
+        glu *= ug[0]
         if plan.sub_mask is not None:
             glu *= plan.sub_mask
         out = self._plan_gemm(glu, plan.down)
         return out.reshape(*x.shape[:-1], w_down.shape[0])
 
     def masked_down(self, w_down: np.ndarray, glu: np.ndarray, down_mask: np.ndarray) -> np.ndarray:
-        plan = self._down_plan(w_down, np.asarray(down_mask))
+        mask = np.asarray(down_mask)
+        plan = self._down_plan(w_down, mask)
         if plan is None:
-            self.stats["dense_calls"] += 1
-            return super().masked_down(w_down, glu, down_mask)
+            idx = self._stream_index(mask, glu)
+            rows = None if idx is None else self._stream_rows(w_down)
+            if rows is None:
+                self.stats["dense_calls"] += 1
+                return super().masked_down(w_down, glu, down_mask)
+            self.stats["gather_calls"] += 1
+            out = self._stream_gemv(glu.reshape(-1)[idx], rows, idx)
+            return out.reshape(*glu.shape[:-1], w_down.shape[0])
         self.stats["gather_calls"] += 1
         acts = glu.reshape(-1, glu.shape[-1])[:, plan.idx]  # fresh copy: safe to mask in place
         if plan.sub_mask is not None:

@@ -109,6 +109,9 @@ class Int8Backend(GatherGEMMBackend):
             return None
         return sub.T, (scales[idx] if axis == 0 else scales)
 
+    def _stream_rows(self, weight: np.ndarray) -> Optional[np.ndarray]:
+        return None  # the float rows would bypass quantization: stay on the code paths
+
     def _plan_gemm(self, x2d: np.ndarray, entry) -> np.ndarray:
         sub_t, scales = entry
         out = np.matmul(x2d.astype(np.float32, copy=False), sub_t).astype(np.float64)
@@ -117,10 +120,9 @@ class Int8Backend(GatherGEMMBackend):
 
     @staticmethod
     def _plan_fuse(up_entry, gate_entry):
-        # Fused int8 entry: stacked code columns plus the concatenated
-        # per-output-row scales, so the single wide GEMM dequantizes exactly
-        # like the two narrow ones.
+        # Fused int8 entry: stacked code matrices plus the stacked per-output-row
+        # scales, so the batched GEMM dequantizes exactly like two separate ones.
         return (
-            np.hstack((up_entry[0], gate_entry[0])),
-            np.concatenate((up_entry[1], gate_entry[1])),
+            np.ascontiguousarray(np.stack((up_entry[0], gate_entry[0]))),
+            np.stack((up_entry[1], gate_entry[1]))[:, None, :],
         )

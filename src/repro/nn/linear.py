@@ -11,6 +11,27 @@ from repro.backend import active_backend
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import new_rng
 
+#: Elements per block when a column-major weight is drawn row block by row
+#: block (512 KB of float64): no transient full-size copy is ever made, and
+#: each block is tall enough that its scatter into columns stays cheap.
+_INIT_BLOCK_ELEMS = 65536
+
+
+def _normal_weight(rng: np.random.Generator, scale: float, shape: tuple, order: str) -> np.ndarray:
+    """``rng.normal(0, scale, size=shape)`` stored in memory ``order``.
+
+    A column-major weight is filled in row blocks from the same stream, so
+    its values and the generator's final state equal a single C-order draw.
+    """
+    if order == "C":
+        return rng.normal(0.0, scale, size=shape)
+    weight = np.empty(shape, order=order)
+    rows = max(1, _INIT_BLOCK_ELEMS // shape[1])
+    for start in range(0, shape[0], rows):
+        block = weight[start : start + rows]
+        block[...] = rng.normal(0.0, scale, size=block.shape)
+    return weight
+
 
 class Linear(Module):
     """Affine map ``y = x @ W^T + b``.
@@ -19,7 +40,11 @@ class Linear(Module):
     convention used throughout the paper: *column* ``i`` of the up/gate
     projections (i.e. row ``i`` of this weight matrix) together with *row*
     ``i`` of the down projection form neuron ``i`` of the MLP.
+    ``weight_order`` is its memory order (row-major unless a subclass says
+    otherwise); shape and values do not depend on it.
     """
+
+    weight_order = "C"
 
     def __init__(
         self,
@@ -36,7 +61,7 @@ class Linear(Module):
         self.out_features = out_features
         rng = new_rng(seed)
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(in_features)
-        self.weight = Parameter(rng.normal(0.0, scale, size=(out_features, in_features)))
+        self.weight = Parameter(_normal_weight(rng, scale, (out_features, in_features), self.weight_order))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:

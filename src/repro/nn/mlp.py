@@ -10,6 +10,11 @@ Weights are stored so that *neuron i* of the MLP consists of row ``i`` of the
 up and gate projections together with column ``i`` of the down projection —
 this is the unit of sparsification and of DRAM caching throughout the
 library.
+
+All three weights are stored column-major (Fortran order): ``W.T`` is then
+C-contiguous, so the units DIP keeps — input features of W_u/W_g and neurons
+of W_d — are contiguous rows of it, which a batch-1 gather reads without
+strided access (see :mod:`repro.backend.gather`).
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ class GLUMLPConfig(ConfigBase):
             raise ValueError("d_model and d_ffn must be positive")
 
 
+class _ColumnMajorLinear(Linear):
+    """:class:`Linear` with a column-major weight (see the module docstring)."""
+
+    weight_order = "F"
+
+
 class SwiGLUMLP(Module):
     """Gated MLP with a configurable gate non-linearity (default SiLU).
 
@@ -54,9 +65,9 @@ class SwiGLUMLP(Module):
         super().__init__()
         self.config = config
         rng = new_rng(seed)
-        self.up = Linear(config.d_model, config.d_ffn, seed=spawn_rng(rng, "up"))
-        self.gate = Linear(config.d_model, config.d_ffn, seed=spawn_rng(rng, "gate"))
-        self.down = Linear(config.d_ffn, config.d_model, seed=spawn_rng(rng, "down"))
+        self.up = _ColumnMajorLinear(config.d_model, config.d_ffn, seed=spawn_rng(rng, "up"))
+        self.gate = _ColumnMajorLinear(config.d_model, config.d_ffn, seed=spawn_rng(rng, "gate"))
+        self.down = _ColumnMajorLinear(config.d_ffn, config.d_model, seed=spawn_rng(rng, "down"))
         self.activation = get_activation(config.activation)
 
     # ------------------------------------------------------------- properties

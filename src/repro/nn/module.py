@@ -90,7 +90,11 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values from a flat name → array mapping."""
+        """Load parameter values from a flat name → array mapping.
+
+        Each value is copied into a fresh array with the parameter's current
+        memory order, so a column-major weight stays column-major.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -102,7 +106,9 @@ class Module:
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+            fresh = np.empty_like(param.data)
+            fresh[...] = value
+            param.data = fresh
 
     # -------------------------------------------------------------- interface
     def forward(self, *args: Any, **kwargs: Any) -> Any:  # pragma: no cover - abstract

@@ -27,8 +27,8 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
         return np.ones(values.shape, dtype=bool)
     # argpartition selects the k largest per row without a full sort.
     idx = np.argpartition(values, n - k, axis=-1)[..., n - k :]
-    if values.ndim == 1:
-        mask[idx] = True
+    if values.size == n:  # one row: flat indexing skips put_along_axis's index grids
+        mask.reshape(-1)[idx.reshape(-1)] = True
     else:
         np.put_along_axis(mask, idx, True, axis=-1)
     return mask

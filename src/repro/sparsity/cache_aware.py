@@ -191,7 +191,7 @@ class CacheAwareDIP(DynamicInputPruning):
             self.stats.hits += hits
             self.stats.misses += misses
 
-            glu = mlp.glu_activations_array(token * token_input_mask)
+            glu = mlp.glu_activations_array(token, input_mask=token_input_mask)
             scores_glu = cache_aware_scores(np.abs(glu), down_cache.cached_mask(), self.gamma)
             token_down_mask = topk_fraction_mask(scores_glu, self.neuron_keep_fraction)
             hits, misses = down_cache.update(token_down_mask)

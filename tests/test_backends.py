@@ -21,9 +21,12 @@ from repro.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.backend.gather import DEFAULT_CROSSOVER_DENSITY, GatherGEMMBackend
+from repro.autograd.optim import SGD, Adam
+from repro.backend.gather import DEFAULT_CROSSOVER_DENSITY, STREAM_CHUNK_BYTES, GatherGEMMBackend
 from repro.backend.int8 import Int8Backend, quantize_weight_int8
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
+from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
+from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.pipeline.spec import ExperimentSpec
 from repro.sparsity.registry import REGISTRY
 
@@ -225,6 +228,105 @@ def test_masked_down_gather_matches_reference(rng):
     out = backend.masked_down(w_down, glu.copy(), mask)
     assert backend.stats["gather_calls"] == 1
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_use_backend_none_pins_the_ambient_backend(monkeypatch):
+    """A ``None`` scope resolves the environment once, at entry."""
+    monkeypatch.setenv("REPRO_BACKEND", "gather")
+    with use_backend(None) as pinned:
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert pinned.name == "gather" and active_backend() is pinned
+    assert active_backend().name == "numpy"
+
+
+@pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
+def test_optimizer_step_invalidates_warm_plans(rng, optimizer_cls):
+    """Plans are keyed on weight identity: an update must not reuse a stale one."""
+    mlp = SwiGLUMLP(GLUMLPConfig(d_model=16, d_ffn=40), seed=0)
+    x = rng.normal(size=(4, 16))
+    mask = np.zeros((4, 40), dtype=bool)
+    mask[:, ::4] = True
+    backend = GatherGEMMBackend()
+
+    def run(b):
+        return b.masked_mlp(mlp.w_up, mlp.w_gate, mlp.w_down, "silu", x, mask)
+
+    run(backend)
+    run(backend)  # promoted: the next call with these weights hits the plan
+    assert backend.stats["gather_calls"] == 1
+    params = mlp.parameters()
+    for param in params:
+        param.grad = rng.normal(size=param.shape)
+    optimizer_cls(params, lr=0.1).step()
+    assert mlp.w_up.flags.f_contiguous  # the update keeps the layout
+    np.testing.assert_allclose(run(backend), run(get_backend("numpy")), atol=1e-12)
+
+
+# ------------------------------------------------- batch-1 streaming gather
+def _wide_mlp_case(rng, d_model=256, d_ffn=4096, density=0.3, order="F"):
+    """One token against weights wide enough that every kept-row stream spans
+    at least three chunks (the tiny test model fits in one)."""
+    w_up = np.asarray(rng.normal(size=(d_ffn, d_model)) / np.sqrt(d_model), order=order)
+    w_gate = np.asarray(rng.normal(size=(d_ffn, d_model)) / np.sqrt(d_model), order=order)
+    w_down = np.asarray(rng.normal(size=(d_model, d_ffn)) / np.sqrt(d_ffn), order=order)
+    x = rng.normal(size=(1, d_model))
+    input_mask = rng.random((1, d_model)) < density
+    down_mask = rng.random((1, d_ffn)) < density
+    for weight, mask in ((w_up, input_mask), (w_down, down_mask)):
+        rows_per_chunk = STREAM_CHUNK_BYTES // (weight.shape[0] * weight.itemsize)
+        assert mask.sum() >= 3 * rows_per_chunk
+    return w_up, w_gate, w_down, x, input_mask, down_mask
+
+
+def test_single_token_stream_matches_reference(rng):
+    w_up, w_gate, w_down, x, input_mask, down_mask = _wide_mlp_case(rng)
+    ref = get_backend("numpy")
+    backend = GatherGEMMBackend()
+    glu = backend.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask)
+    np.testing.assert_allclose(glu, ref.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask), atol=1e-12)
+    out = backend.masked_down(w_down, glu.copy(), down_mask)
+    np.testing.assert_allclose(out, ref.masked_down(w_down, glu.copy(), down_mask), atol=1e-12)
+    assert backend.stats["gather_calls"] == 2 and backend.stats["dense_calls"] == 0
+    assert glu.shape == (1, w_up.shape[0]) and out.shape == (1, w_down.shape[0])
+
+
+def test_single_token_stream_falls_back_for_row_major_weights(rng):
+    w_up, w_gate, w_down, x, input_mask, down_mask = _wide_mlp_case(rng, order="C")
+    ref = get_backend("numpy")
+    backend = GatherGEMMBackend()
+    glu = backend.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask)
+    np.testing.assert_array_equal(glu, ref.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask))
+    out = backend.masked_down(w_down, glu.copy(), down_mask)
+    np.testing.assert_array_equal(out, ref.masked_down(w_down, glu.copy(), down_mask))
+    assert backend.stats["gather_calls"] == 0 and backend.stats["dense_calls"] == 2
+
+
+@pytest.mark.parametrize("method_name", ["dip", "dip-ca"])
+def test_wide_batch1_decode_token_identity(method_name):
+    """Batch-1 greedy decode on the 512/2048 geometry streams its MLP reads
+    and still reproduces the numpy reference token for token."""
+    config = TransformerConfig(
+        vocab_size=256,
+        d_model=512,
+        n_layers=2,
+        n_heads=8,
+        n_kv_heads=2,
+        d_ffn=2048,
+        max_seq_len=64,
+        activation="silu",
+        tie_embeddings=True,
+    )
+    model = CausalLM(config, seed=0)
+    model.eval()
+    prompt = np.arange(8) + 3
+    outs = []
+    probe = GatherGEMMBackend()
+    for backend in ("numpy", probe):
+        method = REGISTRY.create(method_name, target_density=0.35)
+        engine = SparseInferenceEngine(model, method, backend=backend)
+        outs.append(engine.generate(prompt, 16, temperature=0.0))
+    np.testing.assert_array_equal(outs[1], outs[0])
+    assert probe.stats["gather_calls"] > probe.stats["dense_calls"]
 
 
 # ---------------------------------------------------------------------- int8

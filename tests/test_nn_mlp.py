@@ -5,7 +5,9 @@ import pytest
 
 from repro.autograd.gradcheck import check_gradients
 from repro.autograd.tensor import Tensor
+from repro.nn.linear import Linear
 from repro.nn.mlp import DenseMLP, GLUMLPConfig, ReLUGLUMLP, SwiGLUMLP, mlp_parameter_count
+from repro.utils.rng import new_rng, spawn_rng
 
 
 @pytest.fixture()
@@ -74,6 +76,27 @@ class TestSwiGLUMLP:
     def test_gradient_flow(self, mlp):
         x = Tensor(np.random.default_rng(7).normal(size=(2, 16)), requires_grad=True)
         check_gradients(lambda x: (mlp(x) ** 2).sum(), [x], atol=1e-4)
+
+
+class TestWeightLayout:
+    def test_weights_column_major_with_unchanged_seeded_values(self, mlp):
+        rng = new_rng(0)
+        expected = {
+            "up": Linear(16, 40, seed=spawn_rng(rng, "up")),
+            "gate": Linear(16, 40, seed=spawn_rng(rng, "gate")),
+            "down": Linear(40, 16, seed=spawn_rng(rng, "down")),
+        }
+        for name, ref in expected.items():
+            weight = getattr(mlp, name).weight.data
+            assert weight.flags.f_contiguous and not ref.weight.data.flags.f_contiguous
+            np.testing.assert_array_equal(weight, ref.weight.data)
+
+    def test_state_dict_round_trip_keeps_layout(self, mlp):
+        other = SwiGLUMLP(GLUMLPConfig(d_model=16, d_ffn=40), seed=1)
+        other.load_state_dict(mlp.state_dict())
+        for weight, ref in ((other.w_up, mlp.w_up), (other.w_gate, mlp.w_gate), (other.w_down, mlp.w_down)):
+            assert weight.flags.f_contiguous
+            np.testing.assert_array_equal(weight, ref)
 
 
 class TestReLUVariant:

@@ -33,6 +33,14 @@ class TestTopKMask:
         mask = topk_mask(values, 7)
         assert np.all(mask.sum(axis=-1) == 7)
 
+    @pytest.mark.parametrize("shape", [(31,), (1, 31), (1, 1, 31)])
+    def test_single_row_matches_put_along_axis(self, shape):
+        values = np.random.default_rng(3).normal(size=shape)
+        idx = np.argpartition(values, 31 - 7, axis=-1)[..., 31 - 7 :]
+        expected = np.zeros(shape, dtype=bool)
+        np.put_along_axis(expected, idx, True, axis=-1)
+        np.testing.assert_array_equal(topk_mask(values, 7), expected)
+
     def test_fraction_mask(self):
         values = np.random.default_rng(2).normal(size=(4, 20))
         mask = topk_fraction_mask(values, 0.25)
