@@ -67,8 +67,6 @@ TRACKED_METRICS = {
         "densities.d035.speedup": "higher",
         "densities.d050.speedup": "higher",
         "densities.d075.speedup": "higher",
-        "int8.speedup": "higher",
-        "single_token.speedup": "higher",
     },
     "BENCH_prefix_cache.json": {
         "methods.cats.prefill_saved_fraction": "higher",

@@ -14,9 +14,9 @@ class Optimizer:
     """Base optimizer operating on a list of parameter tensors.
 
     Steps write each updated parameter into a fresh array with the same
-    memory order instead of updating it in place: caches keyed on a weight
-    array's identity (the gather backend's kernel plans) then never see
-    stale values.
+    memory order instead of updating it in place, so an update never
+    changes an array a caller still holds, and the column-major MLP weights
+    the gather backend streams keep their layout.
     """
 
     def __init__(self, parameters: Iterable[Tensor], lr: float):

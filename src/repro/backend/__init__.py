@@ -20,12 +20,10 @@ from repro.backend.base import (
     use_backend,
 )
 from repro.backend.gather import GatherGEMMBackend
-from repro.backend.int8 import Int8Backend
 from repro.backend.numpy_ref import NumpyBackend
 
 register_backend("numpy", NumpyBackend)
 register_backend("gather", GatherGEMMBackend)
-register_backend("int8", Int8Backend)
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -33,7 +31,6 @@ __all__ = [
     "BackendLike",
     "ComputeBackend",
     "GatherGEMMBackend",
-    "Int8Backend",
     "NumpyBackend",
     "activation_fn",
     "active_backend",

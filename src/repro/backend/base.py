@@ -4,10 +4,10 @@ Every dense kernel the array (inference) path executes — the linear
 projections, attention matmuls, softmax, RMSNorm, and the gated-MLP forwards
 — goes through a :class:`ComputeBackend`.  The reference implementation is
 :class:`~repro.backend.numpy_ref.NumpyBackend` (bit-identical to the
-pre-seam code); alternative backends make sparsity pay at compute time
-(gather-GEMM over active neurons) or run int8 weight paths.  Backends only
-see plain ``np.ndarray`` weights and activations: the autograd/training path
-never routes through them.
+pre-seam code); the gather backend makes sparsity pay at compute time by
+reading only the kept weight rows.  Backends only see plain ``np.ndarray``
+weights and activations: the autograd/training path never routes through
+them.
 
 Selection precedence (most to least specific):
 
@@ -42,8 +42,8 @@ class ComputeBackend:
 
     Primitive kernels (``matmul``, ``softmax``, ``rmsnorm``, ``glu_act``,
     ``masked_mlp``, ``masked_down``) must be provided by subclasses;
-    ``linear`` and ``gather_gemm`` have default compositions in terms of
-    ``matmul`` that subclasses may override with fused/cached variants.
+    ``linear`` has a default composition in terms of ``matmul`` that
+    subclasses may override with a fused variant.
 
     Weight conventions match :class:`repro.nn.linear.Linear` and
     :class:`repro.nn.mlp.SwiGLUMLP`: ``weight`` is ``(out_features,
@@ -93,9 +93,7 @@ class ComputeBackend:
     ) -> np.ndarray:
         """Full sparse MLP forward: ``W_d (GLU(x * input_mask) * neuron_mask)``.
 
-        ``neuron_mask`` has shape ``(..., d_ffn)`` or ``(d_ffn,)``.  This is
-        the kernel where gather-GEMM backends resolve the active-neuron index
-        set and shrink the GEMMs instead of multiplying by the mask.
+        ``neuron_mask`` has shape ``(..., d_ffn)`` or ``(d_ffn,)``.
         """
         raise NotImplementedError
 
@@ -104,7 +102,8 @@ class ComputeBackend:
 
         ``glu`` is *owned* by this call (the caller hands over the buffer, so
         backends may mutate it in place).  This is the hot path for methods
-        that cached their GLU activations while ranking neurons (DIP/DIP-CA).
+        that cached their GLU activations while ranking neurons (DIP/DIP-CA),
+        and where the gather backend reads only the kept neurons' weights.
         """
         raise NotImplementedError
 
@@ -124,18 +123,6 @@ class ComputeBackend:
         if bias is not None:
             out += bias
         return out
-
-    def gather_gemm(self, x: np.ndarray, weight: np.ndarray, idx: np.ndarray, axis: int = 0) -> np.ndarray:
-        """GEMM against a gathered slice of ``weight``.
-
-        ``axis=0`` gathers rows (output units): returns ``x @ weight[idx].T``
-        of shape ``(..., len(idx))``.  ``axis=1`` gathers columns
-        (contraction units): ``x`` must already hold only the gathered
-        activations and the result is ``x @ weight[:, idx].T`` of shape
-        ``(..., out_features)``.
-        """
-        sub = weight[idx] if axis == 0 else weight[:, idx]
-        return self.matmul(x, sub.T)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(name={self.name!r})"

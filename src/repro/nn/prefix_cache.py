@@ -35,6 +35,7 @@ them (:meth:`~repro.engine.inference.ContinuousBatch.from_engine` refuses).
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,10 +45,14 @@ class _Block:
     """One trie node: a ``block_size``-token chunk of some prompt head.
 
     Holds the per-layer keys/values of *its own chunk only*; the full prefix
-    K/V of a match is the concatenation along the chain from the root.
+    K/V of a match is the concatenation along the chain from the root.  The
+    link to the parent is weak, so the trie holds no reference cycle and a
+    dropped cache frees its arrays at once instead of at the next cyclic
+    garbage collection.
     """
 
-    __slots__ = ("tokens", "keys", "values", "children", "parent", "refcount", "last_used", "nbytes")
+    __slots__ = ("tokens", "keys", "values", "children", "parent", "refcount", "last_used", "nbytes",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -60,7 +65,7 @@ class _Block:
         self.keys = keys
         self.values = values
         self.children: Dict[Tuple[int, ...], _Block] = {}
-        self.parent = parent
+        self.parent = weakref.ref(parent) if parent is not None else None
         self.refcount = 0
         self.last_used = 0
         self.nbytes = int(sum(k.nbytes + v.nbytes for k, v in zip(keys, values)))
@@ -222,7 +227,8 @@ class PrefixCache:
             self._evict(victim)
 
     def _evict(self, block: _Block) -> None:
-        owner = block.parent.children if block.parent is not None else self._root
+        parent = block.parent() if block.parent is not None else None
+        owner = parent.children if parent is not None else self._root
         owner.pop(block.tokens, None)
         self._blocks.discard(block)
         self._bytes -= block.nbytes

@@ -76,11 +76,8 @@ METRIC_CATALOG: Dict[str, str] = {
     "speculation_acceptance_rate": "accepted fraction of drafted tokens (target agreement)",
     "speculation_drafts_per_token": "draft forwards spent per emitted token (lower is cheaper)",
     # -------------------------------------------------- backend gauges
-    "backend_gather_calls": "sparse MLP calls served by the gather-GEMM kernels",
+    "backend_gather_calls": "sparse MLP calls that streamed only the kept weight rows",
     "backend_dense_calls": "sparse MLP calls that fell back to masked-dense",
-    "backend_plan_cache_hits": "steady-state kernel-plan cache hits",
-    "backend_plan_cache_misses": "first sightings of an index set (dense fallback)",
-    "backend_plan_cache_promotions": "index sets promoted to a compiled plan on repeat",
 }
 
 __all__ = ["METRIC_CATALOG"]

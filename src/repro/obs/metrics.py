@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import random
 import threading
+import types
+import weakref
 import zlib
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -229,14 +231,14 @@ class MetricsRegistry:
 
     ``register_collector`` hooks a zero-arg callable that is invoked before
     every snapshot/render — the idiom for mirroring externally-owned state
-    (prefix-cache stats, backend plan-cache stats) into gauges lazily instead
+    (prefix-cache stats, backend call counts) into gauges lazily instead
     of on every mutation.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, _LabelKey], _Metric] = {}
         self._types: Dict[str, str] = {}
-        self._collectors: List[Callable[[], None]] = []
+        self._collectors: List[Callable[[], Optional[Callable[[], None]]]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ registration
@@ -283,13 +285,26 @@ class MetricsRegistry:
         return metric
 
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every snapshot/render (gauge mirroring)."""
-        self._collectors.append(collector)
+        """Run ``collector()`` before every snapshot/render (gauge mirroring).
+
+        A bound method is held weakly: an owner that keeps its registry in an
+        attribute (a scheduler, a fleet manager) is then not part of a
+        reference cycle, so it and all it holds are freed as soon as the last
+        reference drops, and a shared registry never keeps it alive.  The
+        collector is dropped with its owner.
+        """
+        ref = weakref.WeakMethod(collector) if isinstance(collector, types.MethodType) else (lambda: collector)
+        with self._lock:
+            self._collectors.append(ref)
 
     # ----------------------------------------------------------------- queries
     def collect(self) -> None:
-        for collector in self._collectors:
-            collector()
+        with self._lock:
+            collectors = [ref() for ref in self._collectors]
+            self._collectors = [ref for ref, fn in zip(self._collectors, collectors) if fn is not None]
+        for collector in collectors:
+            if collector is not None:
+                collector()
 
     def _grouped(self) -> Dict[str, List[_Metric]]:
         with self._lock:

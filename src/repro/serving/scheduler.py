@@ -507,13 +507,10 @@ class ContinuousBatchingScheduler:
         backend = resolve_backend(self.session.backend)
         cache_stats = getattr(backend, "cache_stats", None)
         if callable(cache_stats):
-            plan = cache_stats()
+            calls = cache_stats()
             labels = {"backend": backend.name}
-            reg.gauge("backend_gather_calls", labels=labels).set(plan["gather_calls"])
-            reg.gauge("backend_dense_calls", labels=labels).set(plan["dense_calls"])
-            reg.gauge("backend_plan_cache_hits", labels=labels).set(plan["plan_hits"])
-            reg.gauge("backend_plan_cache_misses", labels=labels).set(plan["misses"])
-            reg.gauge("backend_plan_cache_promotions", labels=labels).set(plan["promotions"])
+            reg.gauge("backend_gather_calls", labels=labels).set(calls["gather_calls"])
+            reg.gauge("backend_dense_calls", labels=labels).set(calls["dense_calls"])
 
     def stats(self) -> Dict[str, object]:
         """Live scheduler metrics (the server's ``/stats`` payload)."""

@@ -210,9 +210,9 @@ class SparsityMethod:
         """Masked MLP output for inputs ``x`` of shape ``(T, d_model)``.
 
         The masks are handed to the active compute backend as mask/index-set
-        kernels: the numpy reference applies them masked-dense, gather
-        backends resolve the active-neuron index set and run gather-GEMM over
-        only the active weight slices (see :mod:`repro.backend`).
+        kernels: the numpy reference applies them masked-dense, the gather
+        backend reads only the kept weight rows of a single decode token
+        (see :mod:`repro.backend.gather`).
         """
         if masks is None:
             masks = self.compute_masks(mlp, layer_index, x)

@@ -3,9 +3,7 @@
 The acceptance property is token-identity: greedy ``generate`` under every
 non-quantized backend must reproduce the numpy reference *exactly*, for every
 registered sparsity method, on single prompts, rectangular batches, ragged
-batches and the continuous-batching decode core.  The int8 backend is
-weight-quantized, so its kernels are pinned by analytic error bounds instead
-(and by exact agreement between its own dense and gathered paths).
+batches and the continuous-batching decode core.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from repro.backend import (
     use_backend,
 )
 from repro.autograd.optim import SGD, Adam
-from repro.backend.gather import DEFAULT_CROSSOVER_DENSITY, STREAM_CHUNK_BYTES, GatherGEMMBackend
-from repro.backend.int8 import Int8Backend, quantize_weight_int8
+from repro.backend.gather import STREAM_CHUNK_BYTES, GatherGEMMBackend
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
@@ -51,7 +48,7 @@ def _engine(model, method_name, calibration_sequences, backend):
 
 # ------------------------------------------------------------------ registry
 def test_backend_registry():
-    assert set(available_backends()) >= {"numpy", "gather", "int8"}
+    assert set(available_backends()) >= {"numpy", "gather"}
     assert get_backend("gather") is get_backend("gather")  # singleton per name
     with pytest.raises(KeyError, match="available"):
         get_backend("missing")
@@ -69,7 +66,7 @@ def test_selection_precedence(monkeypatch):
             assert active_backend().name == "numpy"
     assert active_backend().name == "gather"
     assert resolve_backend(None) is active_backend()
-    assert resolve_backend("int8").name == "int8"
+    assert resolve_backend("numpy").name == "numpy"  # a name beats the ambient backend
 
 
 def test_spec_backend_field_is_validated_and_hashed():
@@ -149,85 +146,18 @@ def _mlp_case(rng, d_model=16, d_ffn=40, n_tokens=4):
     return w_up, w_gate, w_down, x
 
 
-def test_gather_gemm_primitive(rng):
-    backend = get_backend("numpy")
-    x = rng.normal(size=(3, 10))
-    weight = rng.normal(size=(8, 10))
-    idx = np.array([1, 4, 6])
-    np.testing.assert_allclose(
-        backend.gather_gemm(x, weight, idx, axis=0), x @ weight[idx].T
-    )
-    x_cols = rng.normal(size=(3, idx.size))
-    np.testing.assert_allclose(
-        backend.gather_gemm(x_cols, weight.T, idx, axis=1), x_cols @ weight.T[:, idx].T
-    )
-
-
 def test_crossover_density_switches_to_masked_dense(rng):
     w_up, w_gate, w_down, x = _mlp_case(rng)
     backend = GatherGEMMBackend(crossover_density=0.5)
     dense_mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
     dense_mask[:, : int(0.75 * w_up.shape[0])] = True  # union density 0.75 > 0.5
     backend.masked_mlp(w_up, w_gate, w_down, "silu", x, dense_mask)
-    assert backend.stats == {
-        "gather_calls": 0, "dense_calls": 1,
-        "cache_hits": 0, "cache_misses": 0, "cache_promotions": 0,
-    }
-
-
-def test_promotion_cache_gathers_on_second_sighting(rng):
-    w_up, w_gate, w_down, x = _mlp_case(rng)
-    backend = GatherGEMMBackend(crossover_density=DEFAULT_CROSSOVER_DENSITY)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
-    mask[:, ::4] = True  # shared mask, union density 0.25
-    expected = get_backend("numpy").masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-
-    first = backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert backend.stats["dense_calls"] == 1 and backend.stats["gather_calls"] == 0
-    second = backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert backend.stats["gather_calls"] == 1  # promoted on the second sighting
-    assert backend.stats["cache_promotions"] == 3  # w_up, w_gate, w_down
-    third = backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert backend.stats["cache_hits"] == 1  # third call runs off the compiled plan
-
-    for out in (first, second, third):
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_cache_off_gathers_immediately(rng):
-    w_up, w_gate, w_down, x = _mlp_case(rng)
-    backend = GatherGEMMBackend(cache_gathered=False)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
-    mask[:, ::4] = True
-    backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert backend.stats["gather_calls"] == 1 and backend.stats["dense_calls"] == 0
-
-
-def test_per_token_masks_are_honoured_below_crossover(rng):
-    """Tokens keeping fewer units than the union get their sub-mask re-applied."""
-    w_up, w_gate, w_down, x = _mlp_case(rng)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
-    mask[:, ::8] = True
-    mask[0, 1] = True  # token 0 keeps one extra neuron the others do not
-    backend = GatherGEMMBackend()
-    expected = get_backend("numpy").masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)  # promotion pass
-    out = backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert backend.stats["gather_calls"] == 1
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_masked_down_gather_matches_reference(rng):
-    w_up, _w_gate, w_down, _x = _mlp_case(rng)
-    glu = rng.normal(size=(4, w_down.shape[1]))
-    mask = np.zeros((4, w_down.shape[1]), dtype=bool)
-    mask[:, ::4] = True
-    backend = GatherGEMMBackend()
-    expected = get_backend("numpy").masked_down(w_down, glu.copy(), mask)
-    backend.masked_down(w_down, glu.copy(), mask)  # promotion pass
-    out = backend.masked_down(w_down, glu.copy(), mask)
-    assert backend.stats["gather_calls"] == 1
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    # A single token on weights wide enough to stream still runs dense above it.
+    wide_down = _wide_mlp_case(rng)[2]
+    glu = rng.normal(size=(1, wide_down.shape[1]))
+    above = np.arange(wide_down.shape[1])[None] % 4 != 0  # density 0.75 > 0.5
+    backend.masked_down(wide_down, glu, above)
+    assert backend.stats == {"gather_calls": 0, "dense_calls": 2}
 
 
 def test_use_backend_none_pins_the_ambient_backend(monkeypatch):
@@ -241,25 +171,27 @@ def test_use_backend_none_pins_the_ambient_backend(monkeypatch):
 
 @pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
 def test_optimizer_step_invalidates_warm_plans(rng, optimizer_cls):
-    """Plans are keyed on weight identity: an update must not reuse a stale one."""
-    mlp = SwiGLUMLP(GLUMLPConfig(d_model=16, d_ffn=40), seed=0)
-    x = rng.normal(size=(4, 16))
-    mask = np.zeros((4, 40), dtype=bool)
-    mask[:, ::4] = True
+    """An optimizer step is visible to the next streaming-gather call."""
+    mlp = SwiGLUMLP(GLUMLPConfig(d_model=128, d_ffn=1024), seed=0)  # 1 MB weights
+    x = rng.normal(size=(1, 128))
+    input_mask = np.arange(128)[None] % 4 == 0
+    down_mask = np.arange(1024)[None] % 4 == 0
     backend = GatherGEMMBackend()
 
     def run(b):
-        return b.masked_mlp(mlp.w_up, mlp.w_gate, mlp.w_down, "silu", x, mask)
+        glu = b.glu_act(mlp.w_up, mlp.w_gate, "silu", x, input_mask=input_mask)
+        return b.masked_down(mlp.w_down, glu, down_mask)
 
-    run(backend)
-    run(backend)  # promoted: the next call with these weights hits the plan
-    assert backend.stats["gather_calls"] == 1
+    before = run(backend)
     params = mlp.parameters()
     for param in params:
         param.grad = rng.normal(size=param.shape)
     optimizer_cls(params, lr=0.1).step()
     assert mlp.w_up.flags.f_contiguous  # the update keeps the layout
-    np.testing.assert_allclose(run(backend), run(get_backend("numpy")), atol=1e-12)
+    after = run(backend)
+    assert backend.stats == {"gather_calls": 4, "dense_calls": 0}
+    assert not np.allclose(after, before)
+    np.testing.assert_allclose(after, run(get_backend("numpy")), atol=1e-12)
 
 
 # ------------------------------------------------- batch-1 streaming gather
@@ -301,6 +233,27 @@ def test_single_token_stream_falls_back_for_row_major_weights(rng):
     assert backend.stats["gather_calls"] == 0 and backend.stats["dense_calls"] == 2
 
 
+@pytest.mark.parametrize("d_ffn, regime", [(512, "dense_calls"), (520, "gather_calls")])
+def test_single_token_stream_needs_more_than_one_chunk(rng, d_ffn, regime):
+    """A column-major weight of at most one chunk (128 x 512 float64 is
+    exactly 512 KB) already sits in L2 and runs masked-dense; one past it
+    streams."""
+    w_up = np.asfortranarray(rng.normal(size=(d_ffn, 128)))
+    w_gate = np.asfortranarray(rng.normal(size=(d_ffn, 128)))
+    w_down = np.asfortranarray(rng.normal(size=(128, d_ffn)))
+    assert (w_up.nbytes <= STREAM_CHUNK_BYTES) == (regime == "dense_calls")
+    x = rng.normal(size=(1, 128))
+    input_mask = np.arange(128)[None] % 4 == 0
+    down_mask = np.arange(d_ffn)[None] % 4 == 0
+    ref = get_backend("numpy")
+    backend = GatherGEMMBackend()
+    glu = backend.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask)
+    np.testing.assert_allclose(glu, ref.glu_act(w_up, w_gate, "silu", x, input_mask=input_mask), atol=1e-12)
+    out = backend.masked_down(w_down, glu.copy(), down_mask)
+    np.testing.assert_allclose(out, ref.masked_down(w_down, glu.copy(), down_mask), atol=1e-12)
+    assert backend.stats[regime] == 2
+
+
 @pytest.mark.parametrize("method_name", ["dip", "dip-ca"])
 def test_wide_batch1_decode_token_identity(method_name):
     """Batch-1 greedy decode on the 512/2048 geometry streams its MLP reads
@@ -327,51 +280,3 @@ def test_wide_batch1_decode_token_identity(method_name):
         outs.append(engine.generate(prompt, 16, temperature=0.0))
     np.testing.assert_array_equal(outs[1], outs[0])
     assert probe.stats["gather_calls"] > probe.stats["dense_calls"]
-
-
-# ---------------------------------------------------------------------- int8
-def test_int8_linear_within_quantization_bound(rng):
-    weight = rng.normal(size=(24, 16))
-    bias = rng.normal(size=24)
-    x = rng.normal(size=(5, 16))
-    backend = Int8Backend()
-    out = backend.linear(x, weight, bias)
-    again = backend.linear(x, weight, bias)
-    np.testing.assert_array_equal(out, again)  # deterministic, cached quantization
-
-    ref = get_backend("numpy").linear(x, weight, bias)
-    codes, scales = quantize_weight_int8(weight)
-    np.testing.assert_allclose(codes * scales[:, None], weight, atol=(scales / 2).max())
-    # |error| <= (scale_j / 2) * sum_k |x_ik|, plus float32 GEMM rounding.
-    bound = 0.5 * np.abs(x).sum(axis=-1)[:, None] * scales[None, :] + 1e-4
-    assert np.all(np.abs(out - ref) <= bound)
-
-
-def test_int8_gather_matches_int8_dense(rng):
-    """The gathered int8 path must agree with the int8 masked-dense path."""
-    w_up, w_gate, w_down, x = _mlp_case(rng)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
-    mask[:, ::4] = True
-    dense = Int8Backend()
-    with np.errstate(all="ignore"):
-        expected = dense.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    gathered = Int8Backend()
-    gathered.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)  # promotion pass
-    out = gathered.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
-    assert gathered.stats["gather_calls"] == 1
-    np.testing.assert_allclose(out, expected, atol=1e-5)
-
-
-def test_int8_generate_stays_close_to_reference(trained_tiny_model, calibration_sequences):
-    """No exactness for quantized weights — but greedy decode must still run
-    end-to-end and keep logits near the reference on the first step."""
-    prompt = calibration_sequences[0][:12]
-    ref = _engine(trained_tiny_model, "dip", calibration_sequences, "numpy")
-    engine = _engine(trained_tiny_model, "dip", calibration_sequences, "int8")
-    out = engine.generate(prompt, 8, temperature=0.0)
-    assert out.shape == ref.generate(prompt, 8, temperature=0.0).shape
-    ref_logits = ref.logits(prompt)
-    int8_logits = engine.logits(prompt)
-    assert np.max(np.abs(int8_logits - ref_logits)) < 1.0
-    corr = np.corrcoef(int8_logits[-1], ref_logits[-1])[0, 1]
-    assert corr > 0.99

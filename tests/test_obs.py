@@ -8,9 +8,11 @@ and the deterministic workload generator that feeds the latency benchmark.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +157,26 @@ class TestRegistry:
         assert registry.snapshot()["serving_queue_depth"]["samples"][0]["value"] == 7
         state["depth"] = 9
         assert "serving_queue_depth 9" in registry.render_prometheus()
+
+    def test_bound_method_collector_does_not_keep_its_owner_alive(self):
+        class Owner:
+            def __init__(self):
+                self.registry = MetricsRegistry()
+                self.registry.register_collector(self.collect)
+
+            def collect(self):
+                self.registry.gauge("serving_queue_depth").set(3)
+
+        owner = Owner()
+        registry, alive = owner.registry, weakref.ref(owner)
+        assert registry.snapshot()["serving_queue_depth"]["samples"][0]["value"] == 3
+        gc.disable()
+        try:
+            del owner
+            assert alive() is None  # no owner -> registry -> collector -> owner cycle
+        finally:
+            gc.enable()
+        registry.snapshot()  # the dead collector is skipped
 
     def test_reset_zeroes_everything(self):
         registry = MetricsRegistry()

@@ -9,6 +9,9 @@ use, and the prefill-token accounting the benchmarks and ``/stats`` gate on.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,22 @@ class TestPrefixCacheTrie:
         assert stats["hit_rate"] == 0.5 and stats["hit_tokens"] == 2
         cache.clear()
         assert cache.stats()["blocks"] == 0 and cache.bytes_used == 0
+
+
+    def test_dropped_trie_frees_blocks_without_cycle_collection(self):
+        """Child blocks link to their parent weakly: the trie holds no
+        reference cycle, so its K/V arrays go when the cache does."""
+        cache = PrefixCache(max_bytes=1 << 20, block_size=2)
+        keys, values = _layer_kv(1, 6)
+        cache.insert(list(range(6)), keys, values)  # one chain of three blocks
+        match = cache.lookup(list(range(6)))
+        leaf_keys = weakref.ref(match.blocks[-1].keys[0])
+        gc.disable()
+        try:
+            del match, cache
+            assert leaf_keys() is None
+        finally:
+            gc.enable()
 
 
 class TestSeededKVSlots:

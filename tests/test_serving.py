@@ -11,6 +11,7 @@ pool, and the HTTP front-end are covered alongside.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
 import re
@@ -18,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -696,6 +698,28 @@ class TestSchedulerLifecycle:
         assert follow_up.finish_reason == "length" and follow_up.n_generated == 2
         assert stats["requests_cancelled"] == 1
         assert stats["active_requests"] == 0 and stats["batch_occupancy"] == 0.0
+
+    def test_stopped_scheduler_is_freed_without_cycle_collection(self, tiny_session):
+        """Nothing a served scheduler builds (its metrics collector, its
+        prefix trie) forms a reference cycle: dropping it frees its KV state
+        at once, not at whichever cyclic-GC pass comes next."""
+
+        async def serve():
+            config = SchedulerConfig(max_batch_size=2, max_seq_len=48, prefix_block_size=2)
+            sched = ContinuousBatchingScheduler(tiny_session.share_calibration(), config)
+            async with sched:
+                for tail in (7, 8):
+                    await sched.submit(GenerationRequest(prompt=(1, 2, 3, 4, 5, 6, tail), max_new_tokens=2))
+            assert sched.prefix_cache is not None and sched.prefix_cache.stats()["blocks"] >= 3
+            return weakref.ref(sched), weakref.ref(sched.prefix_cache)
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = self._run(serve())
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_cancel_queued_request(self, tiny_session):
         async def serve():
